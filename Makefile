@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build vet test race fuzz chaos bench bench-smoke bencheval bench-diff servebench ensemblebench serve-smoke cover-obs check clean
+.PHONY: all build vet test race fuzz chaos bench bench-smoke bench-module bencheval bench-diff servebench ensemblebench serve-smoke cover-obs check clean
 
 all: check
 
@@ -19,8 +19,9 @@ test:
 	$(GO) test ./...
 
 # race runs the full suite under the race detector; this covers the
-# sharded evaluation cache, the shared compiled programs, and the
-# Workers=8 engine-determinism regression test.
+# sharded evaluation cache, the shared compiled register programs and
+# their exogenous plans, and the Workers=8 engine-determinism regression
+# test.
 race:
 	$(GO) test -race ./...
 
@@ -58,6 +59,14 @@ bench-smoke:
 		-serve-out /tmp/BENCH_SERVE.smoke.json
 	$(GO) run ./cmd/riverbench -exp ensemblebench -serve-duration 200ms \
 		-serve-out /tmp/BENCH_SERVE.smoke.json
+
+# bench-module vets and short-tests the end-to-end benchmark. bench/ is its
+# own Go module (bench/go.mod, replacing gmr with the parent directory), so
+# the root `go build ./...` never compiles it; this catches API changes
+# that would break it.
+bench-module:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test -short ./...
 
 # bencheval snapshots evaluator cold / tier-1 / param-batch / tier-2
 # numbers and cache hit rates into BENCH_EVAL.json (the README performance
@@ -111,7 +120,7 @@ cover-obs:
 	awk -v t="$$total" 'BEGIN { if (t+0 < 85) { printf "internal/obs coverage %.1f%% is below the 85%% floor\n", t; exit 1 } \
 		printf "internal/obs coverage %.1f%% (floor 85%%)\n", t }'
 
-check: build vet test race chaos fuzz serve-smoke cover-obs
+check: build vet test race chaos fuzz serve-smoke cover-obs bench-module
 
 clean:
 	$(GO) clean ./...

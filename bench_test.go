@@ -62,7 +62,7 @@ func BenchmarkTableV_Manual(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys, err := bio.NewCompiledSystem(phy, zoo)
+	sys, err := bio.NewSegSystem(phy, zoo)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func BenchmarkTableV_GGGP(b *testing.B) {
 		if err := grammar.BindSystem(p, z, consts); err != nil {
 			return math.Inf(1)
 		}
-		sys, err := bio.NewCompiledSystem(p, z)
+		sys, err := bio.NewSegSystem(p, z)
 		if err != nil {
 			return math.Inf(1)
 		}
@@ -334,9 +334,9 @@ func BenchmarkFig11_TH13(b *testing.B) { benchFig11(b, true, 1.3) }
 
 // ---- Ablation benches for DESIGN.md's design choices ----
 
-// BenchmarkAblation_DeriveVsCompile quantifies the runtime-compilation
-// substitution: evaluating one derivative at one time step, interpreted vs
-// compiled.
+// BenchmarkAblation_TreeInterpret and BenchmarkAblation_Compiled quantify
+// the runtime-compilation substitution: evaluating one derivative at one
+// time step, interpreted vs compiled to the register VM.
 func BenchmarkAblation_TreeInterpret(b *testing.B) {
 	phy, _, consts, err := bio.ManualSystem()
 	if err != nil {
@@ -356,12 +356,12 @@ func BenchmarkAblation_TreeInterpret(b *testing.B) {
 	}
 }
 
-func BenchmarkAblation_Bytecode(b *testing.B) {
+func BenchmarkAblation_Compiled(b *testing.B) {
 	phy, _, consts, err := bio.ManualSystem()
 	if err != nil {
 		b.Fatal(err)
 	}
-	prog, err := expr.Compile(phy)
+	prog, err := expr.CompileReg([]*expr.Node{phy}, func(i int) bool { return i == bio.IdxBPhy || i == bio.IdxBZoo })
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -370,10 +370,10 @@ func BenchmarkAblation_Bytecode(b *testing.B) {
 	for i := range vars {
 		vars[i] = 1 + float64(i)
 	}
-	stack := make([]float64, 0, prog.StackSize())
+	regs := make([]float64, prog.NumRegs())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prog.EvalStack(vars, params, stack)
+		prog.EvalOnce(vars, params, regs)
 	}
 }
 

@@ -341,29 +341,8 @@ func benchEvalPass(ds *dataset.Dataset) []benchEvalResult {
 		}
 	}))
 
-	// Simulation inner loop with reused scratch: the monolithic stack VM
-	// (what NoHoist pays per evaluation)...
-	record("bio_run_buf", testing.Benchmark(func(b *testing.B) {
-		phy, zoo, bconsts, err := bio.ManualSystem()
-		if err != nil {
-			b.Fatal(err)
-		}
-		sys, err := bio.NewCompiledSystem(phy, zoo)
-		if err != nil {
-			b.Fatal(err)
-		}
-		params := bio.Means(bconsts)
-		var sc bio.SimScratch
-		sys.RunBuf(forcing, params, simCfg, &sc, nil)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sys.RunBuf(forcing, params, simCfg, &sc, nil)
-		}
-	}))
-
-	// ...versus the segmented register VM consuming a prebuilt exogenous
-	// plan (what a tier-1 hit pays after hoisting).
+	// Simulation inner loop: the segmented register VM consuming a
+	// prebuilt exogenous plan (what a tier-1 hit pays after hoisting).
 	record("bio_seg_kernel", testing.Benchmark(func(b *testing.B) {
 		phy, zoo, bconsts, err := bio.ManualSystem()
 		if err != nil {

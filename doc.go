@@ -7,7 +7,7 @@
 //
 // The implementation lives in internal packages:
 //
-//	internal/expr     expression trees, evaluation, simplification, bytecode
+//	internal/expr     expression trees, evaluation, simplification, register VM
 //	internal/tag      tree-adjoining grammar: α/β trees, adjunction, derivation trees
 //	internal/gp       the TAG3P evolutionary engine
 //	internal/grammar  the river-modeling knowledge grammar (Table II)

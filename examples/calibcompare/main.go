@@ -36,7 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys, err := bio.NewCompiledSystem(phy, zoo)
+	sys, err := bio.NewSegSystem(phy, zoo)
 	if err != nil {
 		log.Fatal(err)
 	}

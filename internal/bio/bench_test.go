@@ -2,57 +2,23 @@ package bio
 
 import "testing"
 
-// Benchmarks for the simulation inner loop (ISSUE 1: bio.System.Run with
-// b.ReportAllocs). Three variants:
-//
-//   - Run: the allocating entry point (fresh scratch per call) — what the
-//     seed evaluator paid on every evaluation.
-//   - RunBuf: caller-supplied scratch, allocation-free once warm.
-//   - SharedRun: the lock-free shared-program path used by the evaluator's
-//     structure cache, also allocation-free with warm scratch.
-
-func BenchmarkRun(b *testing.B) {
+// BenchmarkSegKernel measures the compiled simulation inner loop as the
+// evaluator runs it on a structure-cache hit: the exogenous plan is built
+// once, and each iteration runs the per-candidate prologue and the
+// segmented kernel with warm scratch (allocation-free).
+func BenchmarkSegKernel(b *testing.B) {
 	phy, zoo, params, forcing := manualWorkload(b)
-	sys, err := NewCompiledSystem(phy, zoo)
+	seg, err := NewSegSystem(phy, zoo)
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := SimConfig{Phy0: 10, Zoo0: 1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys.Run(forcing, params, cfg, nil)
-	}
-}
-
-func BenchmarkRunBuf(b *testing.B) {
-	phy, zoo, params, forcing := manualWorkload(b)
-	sys, err := NewCompiledSystem(phy, zoo)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := SimConfig{Phy0: 10, Zoo0: 1}
+	plan := seg.BuildExogPlan(forcing)
 	var sc SimScratch
-	sys.RunBuf(forcing, params, cfg, &sc, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys.RunBuf(forcing, params, cfg, &sc, nil)
-	}
-}
-
-func BenchmarkSharedRun(b *testing.B) {
-	phy, zoo, params, forcing := manualWorkload(b)
-	shared, err := NewSharedSystem(phy, zoo)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := SimConfig{Phy0: 10, Zoo0: 1}
-	var sc SimScratch
-	shared.Run(forcing, params, cfg, &sc, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		shared.Run(forcing, params, cfg, &sc, nil)
+		seg.Prologue(params, &sc)
+		seg.Kernel(plan, cfg, &sc, nil)
 	}
 }

@@ -18,13 +18,14 @@ import (
 //   - PARAM instructions run once per parameter vector (Prologue);
 //   - DAY instructions run once per day (forcing is constant within a day).
 //
-// Semantics match System.RunBuf / SharedSystem.Run bit for bit — the
+// Semantics (Euler stepping, clamping, non-finite abort, perStep hook and
+// early stop) match the tree interpreter's System.RunBuf — the
 // differential tests in seg_test.go and evalx enforce this.
 
-// SegSystem is the segmented compiled form of a System: one immutable
-// register program with two roots (dBPhy/dt, dBZoo/dt) sharing common
-// subexpressions. Like SharedSystem it carries no mutable state and is safe
-// for concurrent use with per-goroutine SimScratch register files.
+// SegSystem is the compiled form of a System: one immutable register
+// program with two roots (dBPhy/dt, dBZoo/dt) sharing common
+// subexpressions. It carries no mutable state and is safe for concurrent
+// use with per-goroutine SimScratch register files.
 type SegSystem struct {
 	Prog *expr.RegProgram
 }
@@ -84,7 +85,7 @@ func (s *SegSystem) Prologue(params []float64, sc *SimScratch) {
 // Kernel integrates the system over the plan's days using the precomputed
 // exogenous matrix. Prologue must have run first with the same scratch.
 // Semantics (Euler stepping, clamping, non-finite abort, perStep hook and
-// early stop) match SharedSystem.Run exactly; the returned slice aliases sc.
+// early stop) match System.RunBuf; the returned slice aliases sc.
 // Steady-state calls with a reused SimScratch are allocation-free.
 func (s *SegSystem) Kernel(plan *ExogPlan, cfg SimConfig, sc *SimScratch, perStep func(t int, bphy float64) bool) []float64 {
 	cfg = cfg.withDefaults()

@@ -8,10 +8,10 @@ import (
 	"gmr/internal/expr"
 )
 
-// Differential tests for the segmented simulation path: SegSystem (register
-// VM, exogenous hoisting, per-day invariant evaluation) must reproduce
-// SharedSystem.Run (monolithic stack VM) bit for bit — every prediction,
-// every perStep call, early stops, and non-finite aborts included.
+// Differential tests for the compiled simulation path: SegSystem (register
+// VM, exogenous hoisting, per-day invariant evaluation) must reproduce the
+// tree interpreter's System.RunBuf bit for bit — every prediction, every
+// perStep call, early stops, and non-finite aborts included.
 
 // bindBio parses src and binds it against the bio variable/parameter
 // layout.
@@ -115,11 +115,11 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
-// TestSegSystemMatchesSharedSystem: over fixed system shapes × random
+// TestSegSystemMatchesTreeSystem: over fixed system shapes × random
 // forcing × random parameters × several SimConfigs (including disabled
-// clamps and early stops), the segmented path reproduces the monolithic
-// path bitwise, predictions and perStep traces alike.
-func TestSegSystemMatchesSharedSystem(t *testing.T) {
+// clamps and early stops), the segmented path reproduces the tree
+// interpreter bitwise, predictions and perStep traces alike.
+func TestSegSystemMatchesTreeSystem(t *testing.T) {
 	consts := DefaultConstants()
 	paramIdx := ParamIndex(consts)
 	rng := rand.New(rand.NewSource(42))
@@ -130,10 +130,7 @@ func TestSegSystemMatchesSharedSystem(t *testing.T) {
 		{SubSteps: 3, Phy0: 1, Zoo0: 1, ClampMin: -1, ClampMax: 50},
 	}
 	for si, pair := range segTestSystems(t, paramIdx) {
-		shared, err := NewSharedSystem(pair[0], pair[1])
-		if err != nil {
-			t.Fatalf("system %d: NewSharedSystem: %v", si, err)
-		}
+		tree := NewTreeSystem(pair[0], pair[1])
 		seg, err := NewSegSystem(pair[0], pair[1])
 		if err != nil {
 			t.Fatalf("system %d: NewSegSystem: %v", si, err)
@@ -150,32 +147,34 @@ func TestSegSystemMatchesSharedSystem(t *testing.T) {
 				stopAt = rng.Intn(len(forcing)) // early stop via perStep
 			}
 
-			var trShared, trSeg stepTrace
-			var scShared, scSeg SimScratch
-			predShared := shared.Run(forcing, params, cfg, &scShared, trShared.hook(stopAt))
+			var trTree, trSeg stepTrace
+			var scTree, scSeg SimScratch
+			predTree := tree.RunBuf(forcing, params, cfg, &scTree, trTree.hook(stopAt))
 			plan := seg.BuildExogPlan(forcing)
 			seg.Prologue(params, &scSeg)
 			predSeg := seg.Kernel(plan, cfg, &scSeg, trSeg.hook(stopAt))
 
-			if !bitsEqual(predShared, predSeg) {
-				t.Fatalf("system %d trial %d: predictions diverge\nshared %v\nseg    %v", si, trial, predShared, predSeg)
+			if !bitsEqual(predTree, predSeg) {
+				t.Fatalf("system %d trial %d: predictions diverge\ntree %v\nseg  %v", si, trial, predTree, predSeg)
 			}
-			if !sameTrace(&trShared, &trSeg) {
-				t.Fatalf("system %d trial %d: perStep traces diverge\nshared %v\nseg    %v", si, trial, trShared.ts, trSeg.ts)
+			if !sameTrace(&trTree, &trSeg) {
+				t.Fatalf("system %d trial %d: perStep traces diverge\ntree %v\nseg  %v", si, trial, trTree.ts, trSeg.ts)
 			}
 
-			// The convenience Run entry point must agree as well.
-			predRun := seg.Run(forcing, params, cfg, &SimScratch{}, nil)
-			full := shared.Run(forcing, params, cfg, &SimScratch{}, nil)
-			if !bitsEqual(full, predRun) {
-				t.Fatalf("system %d trial %d: SegSystem.Run diverges from SharedSystem.Run", si, trial)
+			// The convenience Run and Predict entry points must agree as well.
+			full := tree.Predict(forcing, params, cfg)
+			if !bitsEqual(full, seg.Run(forcing, params, cfg, &SimScratch{}, nil)) {
+				t.Fatalf("system %d trial %d: SegSystem.Run diverges from the tree", si, trial)
+			}
+			if !bitsEqual(full, seg.Predict(forcing, params, cfg)) {
+				t.Fatalf("system %d trial %d: SegSystem.Predict diverges from the tree", si, trial)
 			}
 		}
 	}
 }
 
 // TestSegSystemRandomTreesProperty builds random derivative trees over the
-// bio variable universe and checks segmented-vs-monolithic parity across
+// bio variable universe and checks segmented-vs-tree parity across
 // random forcing and parameters. Trees are grown from the same operator
 // set the grammar uses.
 func TestSegSystemRandomTreesProperty(t *testing.T) {
@@ -239,10 +238,7 @@ func TestSegSystemRandomTreesProperty(t *testing.T) {
 		if err := expr.Bind(zoo, varIdx, paramIdx); err != nil {
 			t.Fatal(err)
 		}
-		shared, err := NewSharedSystem(phy, zoo)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tree := NewTreeSystem(phy, zoo)
 		seg, err := NewSegSystem(phy, zoo)
 		if err != nil {
 			t.Fatal(err)
@@ -258,10 +254,10 @@ func TestSegSystemRandomTreesProperty(t *testing.T) {
 		}
 		var trA, trB stepTrace
 		var scA, scB SimScratch
-		a := shared.Run(forcing, params, cfg, &scA, trA.hook(-1))
+		a := tree.RunBuf(forcing, params, cfg, &scA, trA.hook(-1))
 		b := seg.Run(forcing, params, cfg, &scB, trB.hook(-1))
 		if !bitsEqual(a, b) {
-			t.Fatalf("trial %d: predictions diverge\nphy %s\nzoo %s\nshared %v\nseg    %v", trial, phy, zoo, a, b)
+			t.Fatalf("trial %d: predictions diverge\nphy %s\nzoo %s\ntree %v\nseg  %v", trial, phy, zoo, a, b)
 		}
 		if !sameTrace(&trA, &trB) {
 			t.Fatalf("trial %d: traces diverge (phy %s, zoo %s)", trial, phy, zoo)

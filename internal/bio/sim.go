@@ -6,58 +6,30 @@ import (
 	"gmr/internal/expr"
 )
 
-// RHS evaluates one derivative (the right-hand side of dB/dt) given the
-// current variable vector (layout per VarIndex) and the constant-parameter
-// vector.
-type RHS interface {
-	Eval(vars, params []float64) float64
+// System is the interpreted form of a biological process: its two bound
+// derivative trees, walked node by node every substep. It is the Fig 10
+// "no runtime compilation" baseline and the reference oracle the compiled
+// SegSystem (seg.go) is differentially tested against. Evaluation never
+// mutates the trees, so a System is safe for concurrent use with
+// per-goroutine SimScratch.
+type System struct {
+	Phy *expr.Node // dBPhy/dt
+	Zoo *expr.Node // dBZoo/dt
 }
 
-// TreeRHS interprets a bound expression tree directly. It is the slow path
-// that "runtime compilation" replaces; kept as the Fig 10 baseline and as a
-// reference implementation. Evaluation never mutates the tree, so a TreeRHS
-// is safe for concurrent use.
-type TreeRHS struct {
-	Node *expr.Node
+// NewTreeSystem wraps both bound derivative trees in the interpreter.
+func NewTreeSystem(phy, zoo *expr.Node) *System {
+	return &System{Phy: phy, Zoo: zoo}
 }
 
-// Eval evaluates the tree, mapping any evaluation error to NaN so invalid
-// models lose rather than abort the run.
-func (t TreeRHS) Eval(vars, params []float64) float64 {
-	v, err := t.Node.Eval(&expr.Env{Vars: vars, Params: params})
+// evalRHS evaluates one derivative tree, mapping any evaluation error to NaN
+// so invalid models lose rather than abort the run.
+func evalRHS(n *expr.Node, env *expr.Env) float64 {
+	v, err := n.Eval(env)
 	if err != nil {
 		return math.NaN()
 	}
 	return v
-}
-
-// CompiledRHS runs a compiled bytecode program with a reusable stack. A
-// CompiledRHS is NOT safe for concurrent use; create one per goroutine (or
-// share the underlying immutable Program via SharedSystem and per-goroutine
-// SimScratch stacks).
-type CompiledRHS struct {
-	Prog  *expr.Program
-	stack []float64
-}
-
-// NewCompiledRHS compiles the bound tree n.
-func NewCompiledRHS(n *expr.Node) (*CompiledRHS, error) {
-	p, err := expr.Compile(n)
-	if err != nil {
-		return nil, err
-	}
-	return &CompiledRHS{Prog: p, stack: make([]float64, 0, p.StackSize())}, nil
-}
-
-// Eval executes the compiled program.
-func (c *CompiledRHS) Eval(vars, params []float64) float64 {
-	return c.Prog.EvalStack(vars, params, c.stack)
-}
-
-// System couples the two derivative expressions of the biological process.
-type System struct {
-	Phy RHS // dBPhy/dt
-	Zoo RHS // dBZoo/dt
 }
 
 // SimConfig controls forward integration of a System.
@@ -110,17 +82,15 @@ func (c SimConfig) withDefaults() SimConfig {
 }
 
 // SimScratch holds the per-goroutine buffers reused across integration
-// runs: the forcing scratch row, the two bytecode evaluation stacks, and
-// the prediction buffer. The zero value is ready to use; buffers grow on
+// runs: the state/forcing scratch row, the register file, and the
+// prediction buffer. The zero value is ready to use; buffers grow on
 // first use and are reused afterwards, making repeated Run calls
 // allocation-free. A SimScratch must not be shared between concurrent
 // runs.
 type SimScratch struct {
-	vars     []float64
-	phyStack []float64
-	zooStack []float64
-	preds    []float64
-	regs     []float64 // register file for the segmented VM (see seg.go)
+	vars  []float64
+	preds []float64
+	regs  []float64 // register file for the segmented VM (see seg.go)
 
 	// Lane-batched path (see lanes.go): the lane-major register file and
 	// state vector, plus the per-lane parameter-vector table reused by
@@ -175,14 +145,15 @@ func (s *System) RunBuf(forcing [][]float64, params []float64, cfg SimConfig, sc
 	bphy, bzoo := cfg.Phy0, cfg.Zoo0
 	sc.vars = growBuf(sc.vars, NumVars)
 	scratch := sc.vars
+	env := &expr.Env{Vars: scratch, Params: params}
 	h := 1.0 / float64(cfg.SubSteps)
 	for t, row := range forcing {
 		copy(scratch, row)
 		for step := 0; step < cfg.SubSteps; step++ {
 			scratch[IdxBPhy] = bphy
 			scratch[IdxBZoo] = bzoo
-			dPhy := s.Phy.Eval(scratch, params)
-			dZoo := s.Zoo.Eval(scratch, params)
+			dPhy := evalRHS(s.Phy, env)
+			dZoo := evalRHS(s.Zoo, env)
 			bphy += h * dPhy
 			bzoo += h * dZoo
 			if bad, abort := nonFinite(bphy, bzoo); abort {
@@ -236,95 +207,4 @@ func clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// SharedSystem is the concurrency-friendly compiled form of a System: it
-// holds only the two immutable bytecode programs, so one SharedSystem can
-// be cached once per model structure and evaluated by many goroutines at
-// once, each bringing its own SimScratch (this is what makes the
-// evaluator's tier-1 structure cache safe — see internal/evalx). The
-// paper's runtime-compilation trick only pays off when the compiled
-// artifact is reused; SharedSystem is the reusable artifact.
-type SharedSystem struct {
-	Phy, Zoo *expr.Program
-}
-
-// NewSharedSystem compiles both derivative trees into a shareable system.
-func NewSharedSystem(phy, zoo *expr.Node) (*SharedSystem, error) {
-	p, err := expr.Compile(phy)
-	if err != nil {
-		return nil, err
-	}
-	z, err := expr.Compile(zoo)
-	if err != nil {
-		return nil, err
-	}
-	return &SharedSystem{Phy: p, Zoo: z}, nil
-}
-
-// Run integrates the shared system with caller-supplied scratch. Semantics
-// match System.RunBuf exactly (the Fig 10 equivalence tests rely on the
-// two paths agreeing bit for bit); the returned slice aliases sc.
-func (s *SharedSystem) Run(forcing [][]float64, params []float64, cfg SimConfig, sc *SimScratch, perStep func(t int, bphy float64) bool) []float64 {
-	cfg = cfg.withDefaults()
-	preds := sc.preds[:0]
-	bphy, bzoo := cfg.Phy0, cfg.Zoo0
-	sc.vars = growBuf(sc.vars, NumVars)
-	sc.phyStack = growBuf(sc.phyStack, s.Phy.StackSize())
-	sc.zooStack = growBuf(sc.zooStack, s.Zoo.StackSize())
-	scratch, phyStack, zooStack := sc.vars, sc.phyStack, sc.zooStack
-	h := 1.0 / float64(cfg.SubSteps)
-	for t, row := range forcing {
-		copy(scratch, row)
-		for step := 0; step < cfg.SubSteps; step++ {
-			scratch[IdxBPhy] = bphy
-			scratch[IdxBZoo] = bzoo
-			dPhy := s.Phy.EvalStack(scratch, params, phyStack)
-			dZoo := s.Zoo.EvalStack(scratch, params, zooStack)
-			bphy += h * dPhy
-			bzoo += h * dZoo
-			if bad, abort := nonFinite(bphy, bzoo); abort {
-				preds = append(preds, math.NaN())
-				sc.preds = preds
-				if perStep != nil {
-					perStep(t, bad)
-				}
-				return preds
-			}
-			bphy = clamp(bphy, cfg.ClampMin, cfg.ClampMax)
-			bzoo = clamp(bzoo, cfg.ClampMin, cfg.ClampMax)
-		}
-		preds = append(preds, bphy)
-		if perStep != nil && !perStep(t, bphy) {
-			sc.preds = preds
-			return preds
-		}
-	}
-	sc.preds = preds
-	return preds
-}
-
-// Predict is Run with fresh scratch and no per-step hook; the returned
-// slice is caller-owned.
-func (s *SharedSystem) Predict(forcing [][]float64, params []float64, cfg SimConfig) []float64 {
-	preds := s.Run(forcing, params, cfg, &SimScratch{}, nil)
-	return append([]float64(nil), preds...)
-}
-
-// NewCompiledSystem compiles both derivative trees into a System.
-func NewCompiledSystem(phy, zoo *expr.Node) (*System, error) {
-	p, err := NewCompiledRHS(phy)
-	if err != nil {
-		return nil, err
-	}
-	z, err := NewCompiledRHS(zoo)
-	if err != nil {
-		return nil, err
-	}
-	return &System{Phy: p, Zoo: z}, nil
-}
-
-// NewTreeSystem wraps both derivative trees in the interpreting evaluator.
-func NewTreeSystem(phy, zoo *expr.Node) *System {
-	return &System{Phy: TreeRHS{phy}, Zoo: TreeRHS{zoo}}
 }

@@ -48,8 +48,10 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV reads a dataset previously written by WriteCSV. The returned
-// Dataset has no StationRaw or TrueForcing series.
+// ReadCSV reads a dataset previously written by WriteCSV. The split column
+// must hold one or more "train" rows followed by one or more "test" rows;
+// anything else is an error, since every consumer needs both windows. The
+// returned Dataset has no StationRaw or TrueForcing series.
 func ReadCSV(r io.Reader) (*Dataset, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
@@ -92,12 +94,19 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 		d.ObsZoo = append(d.ObsZoo, obsZoo)
 		d.TruePhy = append(d.TruePhy, vals[nv+2])
 		d.TrueZoo = append(d.TrueZoo, vals[nv+3])
-		if rec[len(rec)-1] == "test" && d.TrainEnd < 0 {
+		switch split := rec[len(rec)-1]; {
+		case split == "train" && d.TrainEnd >= 0:
+			return nil, fmt.Errorf("dataset: row %d: train row after the first test row", t+2)
+		case split == "test" && t == 0:
+			return nil, fmt.Errorf("dataset: row %d: CSV has no train rows", t+2)
+		case split == "test" && d.TrainEnd < 0:
 			d.TrainEnd = t
+		case split != "train" && split != "test":
+			return nil, fmt.Errorf("dataset: row %d: split is %q, want train or test", t+2, split)
 		}
 	}
 	if d.TrainEnd < 0 {
-		d.TrainEnd = d.Days
+		return nil, fmt.Errorf("dataset: CSV has no test rows")
 	}
 	return d, nil
 }

@@ -300,7 +300,7 @@ func Generate(cfg Config) (*Dataset, error) {
 	if err := expr.Bind(truthZoo, vi, pi); err != nil {
 		return nil, err
 	}
-	truthSys, err := bio.NewCompiledSystem(truthPhy, truthZoo)
+	truthSys, err := bio.NewSegSystem(truthPhy, truthZoo)
 	if err != nil {
 		return nil, err
 	}
@@ -308,30 +308,27 @@ func Generate(cfg Config) (*Dataset, error) {
 	simCfg := TruthSimConfig(8, 1.5)
 	truePhy := make([]float64, 0, days)
 	trueZoo := make([]float64, 0, days)
-	// Re-run capturing both states: Run reports BPhy; track BZoo via a
-	// second pass of the same deterministic integration.
-	type state struct{ phy, zoo float64 }
-	states := make([]state, 0, days)
+	// Integrate by hand rather than through SegSystem.Run: the truth keeps
+	// both states (Run reports only BPhy) and never aborts on a non-finite
+	// state. One EvalOnce per substep leaves both roots in the registers.
 	{
 		bphy, bzoo := simCfg.Phy0, simCfg.Zoo0
 		scratch := make([]float64, bio.NumVars)
+		regs := make([]float64, truthSys.Prog.NumRegs())
 		h := 1.0 / float64(simCfg.SubSteps)
 		for d := 0; d < days; d++ {
 			copy(scratch, trueForcing[d])
 			for stp := 0; stp < simCfg.SubSteps; stp++ {
 				scratch[bio.IdxBPhy] = bphy
 				scratch[bio.IdxBZoo] = bzoo
-				dp := truthSys.Phy.Eval(scratch, params)
-				dz := truthSys.Zoo.Eval(scratch, params)
+				dp := truthSys.Prog.EvalOnce(scratch, params, regs)
+				dz := truthSys.Prog.Root(1, regs)
 				bphy = stats.Clamp(bphy+h*dp, simCfg.ClampMin, simCfg.ClampMax)
 				bzoo = stats.Clamp(bzoo+h*dz, simCfg.ClampMin, simCfg.ClampMax)
 			}
-			states = append(states, state{bphy, bzoo})
+			truePhy = append(truePhy, bphy)
+			trueZoo = append(trueZoo, bzoo)
 		}
-	}
-	for _, s := range states {
-		truePhy = append(truePhy, s.phy)
-		trueZoo = append(trueZoo, s.zoo)
 	}
 
 	// Observation model: multiplicative lognormal noise, then the

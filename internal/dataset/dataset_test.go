@@ -2,7 +2,9 @@ package dataset
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"gmr/internal/bio"
@@ -209,6 +211,45 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 	if _, err := ReadCSV(bytes.NewBufferString("a,b,c\n1,2,3\n")); err == nil {
 		t.Error("wrong header accepted")
+	}
+}
+
+// TestReadCSVSplit: the split column must be one or more train rows
+// followed by one or more test rows; TrainEnd is the first test row.
+func TestReadCSVSplit(t *testing.T) {
+	csvOf := func(splits ...string) *bytes.Buffer {
+		var b bytes.Buffer
+		b.WriteString(strings.Join(csvHeader(), ",") + "\n")
+		for i, s := range splits {
+			rec := []string{fmt.Sprintf("2000-01-%02d", i+1)}
+			for range csvHeader()[2:] {
+				rec = append(rec, "1.5")
+			}
+			b.WriteString(strings.Join(append(rec, s), ",") + "\n")
+		}
+		return &b
+	}
+	for _, tc := range []struct {
+		name     string
+		splits   []string
+		trainEnd int // -1: must be rejected
+	}{
+		{"train then test", []string{"train", "train", "test"}, 2},
+		{"one of each", []string{"train", "test"}, 1},
+		{"all train", []string{"train", "train"}, -1},
+		{"all test", []string{"test", "test"}, -1},
+		{"bad value", []string{"train", "valid", "test"}, -1},
+		{"interleaved", []string{"train", "test", "train", "test"}, -1},
+	} {
+		d, err := ReadCSV(csvOf(tc.splits...))
+		switch {
+		case tc.trainEnd < 0 && err == nil:
+			t.Errorf("%s: accepted, TrainEnd %d", tc.name, d.TrainEnd)
+		case tc.trainEnd >= 0 && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.trainEnd >= 0 && d.TrainEnd != tc.trainEnd:
+			t.Errorf("%s: TrainEnd %d, want %d", tc.name, d.TrainEnd, tc.trainEnd)
+		}
 	}
 }
 

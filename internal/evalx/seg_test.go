@@ -24,17 +24,17 @@ func jitterParams(rng *rand.Rand, base []float64) []float64 {
 // TestSegmentedMatchesMonolithic: over grammar-derived random structures ×
 // jittered parameter vectors, an evaluator using the segmented register VM
 // must produce bitwise-identical fitnesses (and short-circuit decisions) to
-// one forced onto the monolithic stack VM via NoHoist. Both evaluators see
-// the same evaluation sequence, so their frozen references evolve in
-// lockstep.
+// one interpreting each whole derivative tree per substep (UseCompile off,
+// the reference oracle). Both evaluators see the same evaluation sequence,
+// so their frozen references evolve in lockstep.
 func TestSegmentedMatchesMonolithic(t *testing.T) {
 	forcing, obs, consts := smallData(t)
 	_, g := manualInd(t)
 	opts := Options{UseCache: true, UseCompile: true, Simplify: true, UseShortCircuit: true, Sim: simCfg(obs)}
-	noHoist := opts
-	noHoist.NoHoist = true
+	treeOpts := opts
+	treeOpts.UseCompile = false
 	segEv := New(forcing, obs, consts, opts)
-	monoEv := New(forcing, obs, consts, noHoist)
+	monoEv := New(forcing, obs, consts, treeOpts)
 
 	rng := rand.New(rand.NewSource(17))
 	manual, _ := manualInd(t)
@@ -54,10 +54,10 @@ func TestSegmentedMatchesMonolithic(t *testing.T) {
 			segEv.Evaluate(a)
 			monoEv.Evaluate(b)
 			if math.Float64bits(a.Fitness) != math.Float64bits(b.Fitness) {
-				t.Fatalf("round %d individual %d: segmented fitness %v != monolithic %v", round, i, a.Fitness, b.Fitness)
+				t.Fatalf("round %d individual %d: segmented fitness %v != tree %v", round, i, a.Fitness, b.Fitness)
 			}
 			if a.FullEval != b.FullEval {
-				t.Fatalf("round %d individual %d: short-circuit decision diverged (seg full=%v mono full=%v)",
+				t.Fatalf("round %d individual %d: short-circuit decision diverged (seg full=%v tree full=%v)",
 					round, i, a.FullEval, b.FullEval)
 			}
 		}
@@ -72,7 +72,7 @@ func TestSegmentedMatchesMonolithic(t *testing.T) {
 		t.Fatal("no exogenous-plan hits across repeat evaluations")
 	}
 	if mono := monoEv.Stats(); mono.ExogPlanBuilds != 0 || mono.ExogPlanHits != 0 {
-		t.Fatalf("NoHoist evaluator touched the plan cache: %+v", mono)
+		t.Fatalf("tree evaluator touched the plan cache: %+v", mono)
 	}
 }
 

@@ -113,7 +113,7 @@ func scoreProcess(ds *dataset.Dataset, sc Scale, phy, zoo *expr.Node, params []f
 	if err := grammar.BindSystem(p, z, consts); err != nil {
 		return TableVRow{}, err
 	}
-	sys, err := bio.NewCompiledSystem(p, z)
+	sys, err := bio.NewSegSystem(p, z)
 	if err != nil {
 		return TableVRow{}, err
 	}
@@ -208,7 +208,7 @@ func runGGGP(ds *dataset.Dataset, sc Scale, seed int64) (TableVRow, error) {
 		if err := grammar.BindSystem(p, z, consts); err != nil {
 			return math.Inf(1)
 		}
-		sys, err := bio.NewCompiledSystem(p, z)
+		sys, err := bio.NewSegSystem(p, z)
 		if err != nil {
 			return math.Inf(1)
 		}

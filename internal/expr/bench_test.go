@@ -2,59 +2,9 @@ package expr
 
 import "testing"
 
-// benchProgram compiles a representative growth-rate-sized expression
-// (mixed arithmetic, min, exp/log — the shapes the river grammar derives).
-func benchProgram(b *testing.B) (*Program, []float64, []float64) {
-	b.Helper()
-	src := "CUA * min(Vn / (Vn + 0.2), Vp / (Vp + 0.02)) * exp(0.07 * Vtmp) * BPhy - CRA * BPhy * BZoo / (BPhy + 10) + log(1 + Vlgt)"
-	n, err := Parse(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	vi := map[string]int{"Vn": 0, "Vp": 1, "Vtmp": 2, "Vlgt": 3, "BPhy": 4, "BZoo": 5}
-	pi := map[string]int{"CUA": 0, "CRA": 1}
-	if err := Bind(n, vi, pi); err != nil {
-		b.Fatal(err)
-	}
-	p, err := Compile(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	vars := []float64{1.5, 0.08, 18, 22, 12, 1.3}
-	params := []float64{0.5, 0.3}
-	return p, vars, params
-}
-
-// BenchmarkEvalStack measures the bytecode inner loop with a caller-owned
-// stack buffer: the regime every simulation step runs in. Must be 0
-// allocs/op (ISSUE 1).
-func BenchmarkEvalStack(b *testing.B) {
-	p, vars, params := benchProgram(b)
-	stack := make([]float64, 0, p.StackSize())
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink = p.EvalStack(vars, params, stack)
-	}
-	_ = sink
-}
-
-// BenchmarkEval measures the convenience entry point that allocates a
-// fresh stack per call, for contrast with EvalStack.
-func BenchmarkEval(b *testing.B) {
-	p, vars, params := benchProgram(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink = p.Eval(vars, params)
-	}
-	_ = sink
-}
-
-// BenchmarkTreeEval measures direct tree interpretation of the same
-// expression, the baseline that compilation replaces.
+// BenchmarkTreeEval measures direct tree interpretation of a representative
+// growth-rate-sized expression (mixed arithmetic, min, exp/log — the shapes
+// the river grammar derives), the baseline that compilation replaces.
 func BenchmarkTreeEval(b *testing.B) {
 	src := "CUA * min(Vn / (Vn + 0.2), Vp / (Vp + 0.02)) * exp(0.07 * Vtmp) * BPhy - CRA * BPhy * BZoo / (BPhy + 10) + log(1 + Vlgt)"
 	n, err := Parse(src)

@@ -9,7 +9,7 @@ import (
 // divisions by near-zero and huge exponents; the guards below keep
 // evaluation total (no NaN/Inf panics) while preserving the semantics of
 // well-behaved expressions. The same guards are applied by both the tree
-// interpreter and the compiled bytecode so the two evaluators agree exactly.
+// interpreter and the compiled register VM so the two evaluators agree.
 const (
 	// divEps is the smallest denominator magnitude used by protected
 	// division.

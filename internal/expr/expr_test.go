@@ -246,44 +246,17 @@ func TestSimplifyPreservesSemantics(t *testing.T) {
 	}
 }
 
-// Property: the compiled program agrees with the tree interpreter exactly.
-func TestCompileMatchesInterpreter(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	vars := []string{"x", "y", "z"}
-	varIdx := map[string]int{"x": 0, "y": 1, "z": 2}
-	for i := 0; i < 300; i++ {
-		n := randomTree(rng, vars, 6)
-		if err := Bind(n, varIdx, map[string]int{}); err != nil {
-			t.Fatal(err)
-		}
-		prog, err := Compile(n)
-		if err != nil {
-			t.Fatalf("Compile: %v (tree %s)", err, n)
-		}
-		stack := make([]float64, 0, prog.StackSize())
-		for trial := 0; trial < 5; trial++ {
-			vs := []float64{rng.NormFloat64() * 10, rng.NormFloat64() * 10, rng.NormFloat64() * 10}
-			want, err := n.Eval(&Env{Vars: vs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := prog.EvalStack(vs, nil, stack)
-			if want != got && !(math.IsNaN(want) && math.IsNaN(got)) {
-				t.Fatalf("tree %d: compiled %v != interpreted %v for %s", i, got, want, n)
-			}
-		}
-	}
-}
-
 func TestCompileRejectsIncomplete(t *testing.T) {
-	if _, err := Compile(NewSubSite("Exp")); err == nil {
-		t.Error("compiled an open substitution site")
-	}
-	if _, err := Compile(NewFoot("Exp")); err == nil {
-		t.Error("compiled a foot node")
-	}
-	if _, err := Compile(NewVar("unbound")); err == nil {
-		t.Error("compiled an unbound variable")
+	isState := func(int) bool { return false }
+	for _, n := range []*Node{
+		NewSubSite("Exp"),
+		NewFoot("Exp"),
+		NewVar("unbound"),
+		Add(NewLit(1), NewSubSite("Exp")), // nested below a complete node
+	} {
+		if _, err := CompileReg([]*Node{n}, isState); err == nil {
+			t.Errorf("CompileReg accepted incomplete tree %s", n)
+		}
 	}
 }
 

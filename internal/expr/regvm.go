@@ -5,8 +5,11 @@ import (
 	"math"
 )
 
-// This file implements the register-based segmented VM that replaces the
-// postfix stack machine on the simulation hot path (DESIGN.md §10). A bound
+// This file implements "runtime compilation" (DESIGN.md §3, §10): the
+// register-based segmented VM every compiled simulation runs on. The
+// paper's system emits C++ and dlopens it; compiling to a register program
+// is the portable stdlib-only equivalent that removes the same
+// per-evaluation tree-walking overhead. A bound
 // tree (or a set of trees sharing subexpressions, e.g. the two derivative
 // expressions of a biological process) is compiled into a linear SSA-style
 // instruction stream over a flat register file, with common subexpressions
@@ -30,9 +33,9 @@ import (
 //	      per-substep kernel.
 //
 // Literal-only subexpressions are folded at compile time with the same
-// guarded operators the other evaluators use, so all three evaluation paths
-// (tree interpreter, stack Program, register program) agree bitwise on
-// well-defined inputs; the differential fuzz targets enforce this.
+// guarded operators the tree interpreter uses, so the interpreter and the
+// register program agree on well-defined inputs; the differential fuzz
+// target enforces this.
 
 // ropcode enumerates register-VM operations. Loads read an external vector
 // (vars or params); arithmetic reads and writes registers only.
@@ -231,7 +234,7 @@ func (c *regCompiler) emit(op ropcode, a, b uint16, cls segClass) (uint16, error
 }
 
 // foldUnary/foldBinary apply the guarded operators at compile time; they
-// mirror Eval and the stack VM exactly so folding preserves bit patterns.
+// mirror exec exactly so folding preserves bit patterns.
 func foldUnary(op ropcode, a float64) float64 {
 	switch op {
 	case ropNeg:
@@ -360,8 +363,8 @@ func (c *regCompiler) compile(n *Node) (uint16, segClass, error) {
 		}
 		return c.binary(op, a, b)
 	case Nary:
-		// Lower n-ary min/max to a left fold of binary ops — bitwise
-		// identical to the stack VM's sequential math.Min/math.Max loop.
+		// Lower n-ary min/max to a left fold of binary math.Min/math.Max
+		// ops.
 		var op ropcode
 		switch n.Op {
 		case OpMin:

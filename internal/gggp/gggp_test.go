@@ -26,7 +26,7 @@ func testFitness(t *testing.T) (func(phy, zoo *expr.Node, params []float64) floa
 		if err := grammar.BindSystem(phy, zoo, consts); err != nil {
 			return math.Inf(1)
 		}
-		sys, err := bio.NewCompiledSystem(phy, zoo)
+		sys, err := bio.NewSegSystem(phy, zoo)
 		if err != nil {
 			return math.Inf(1)
 		}

@@ -300,7 +300,7 @@ type evalJob struct {
 // startWorkers launches the persistent evaluation workers for one Run.
 // A fixed pool replaces the former goroutine-per-individual + channel
 // semaphore: workers live for the whole run, so per-goroutine evaluator
-// scratch (eval stacks, simulation buffers, key builders — pooled inside
+// scratch (register files, simulation buffers, key builders — pooled inside
 // the evaluator) stays warm across generations instead of being
 // re-allocated for every individual. The returned stop function drains and
 // joins the pool.
