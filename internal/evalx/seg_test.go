@@ -34,7 +34,7 @@ func TestSegmentedMatchesMonolithic(t *testing.T) {
 	treeOpts := opts
 	treeOpts.UseCompile = false
 	segEv := New(forcing, obs, consts, opts)
-	monoEv := New(forcing, obs, consts, treeOpts)
+	treeEv := New(forcing, obs, consts, treeOpts)
 
 	rng := rand.New(rand.NewSource(17))
 	manual, _ := manualInd(t)
@@ -44,7 +44,7 @@ func TestSegmentedMatchesMonolithic(t *testing.T) {
 	}
 	for round := 0; round < 3; round++ {
 		segEv.BeginBatch()
-		monoEv.BeginBatch()
+		treeEv.BeginBatch()
 		for i, ind := range inds {
 			ps := jitterParams(rng, ind.Params)
 			a := ind.Clone()
@@ -52,7 +52,7 @@ func TestSegmentedMatchesMonolithic(t *testing.T) {
 			a.Invalidate()
 			b := a.Clone()
 			segEv.Evaluate(a)
-			monoEv.Evaluate(b)
+			treeEv.Evaluate(b)
 			if math.Float64bits(a.Fitness) != math.Float64bits(b.Fitness) {
 				t.Fatalf("round %d individual %d: segmented fitness %v != tree %v", round, i, a.Fitness, b.Fitness)
 			}
@@ -62,7 +62,7 @@ func TestSegmentedMatchesMonolithic(t *testing.T) {
 			}
 		}
 		segEv.EndBatch()
-		monoEv.EndBatch()
+		treeEv.EndBatch()
 	}
 	st := segEv.Stats()
 	if st.ExogPlanBuilds == 0 {
@@ -71,8 +71,8 @@ func TestSegmentedMatchesMonolithic(t *testing.T) {
 	if st.ExogPlanHits == 0 {
 		t.Fatal("no exogenous-plan hits across repeat evaluations")
 	}
-	if mono := monoEv.Stats(); mono.ExogPlanBuilds != 0 || mono.ExogPlanHits != 0 {
-		t.Fatalf("tree evaluator touched the plan cache: %+v", mono)
+	if ts := treeEv.Stats(); ts.ExogPlanBuilds != 0 || ts.ExogPlanHits != 0 {
+		t.Fatalf("tree evaluator touched the plan cache: %+v", ts)
 	}
 }
 

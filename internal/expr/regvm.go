@@ -125,6 +125,9 @@ type regCompiler struct {
 	numRegs int
 	p       *RegProgram
 
+	// code holds every emitted instruction in emission order;
+	// splitSegments distributes it over the four segments.
+	code []rinstr
 	// Value numbering: op/operand identity → existing register. Registers
 	// are SSA (one writer each), so a register uniquely names a value.
 	vn map[vnKey]uint16
@@ -133,7 +136,7 @@ type regCompiler struct {
 	// class[r] is the segment class of register r.
 	class []segClass
 	// constVal[r] holds the folded value of a segConst register.
-	constVal map[uint16]float64
+	constVal []float64
 }
 
 type vnKey struct {
@@ -154,12 +157,22 @@ func CompileReg(roots []*Node, isState func(varIdx int) bool) (*RegProgram, erro
 	if isState == nil {
 		isState = func(int) bool { return false }
 	}
+	// A node yields at most one register and one instruction (an n-ary
+	// node with k operands k-1), so the node count is a close size hint
+	// for the compiler's buffers: compilation runs once per evaluation
+	// when the structure cache is off.
+	nodes := 0
+	for _, root := range roots {
+		root.Walk(func(*Node) bool { nodes++; return true })
+	}
 	c := &regCompiler{
 		isState:     isState,
-		p:           &RegProgram{},
-		vn:          map[vnKey]uint16{},
+		p:           &RegProgram{roots: make([]uint16, 0, len(roots))},
+		code:        make([]rinstr, 0, nodes),
+		vn:          make(map[vnKey]uint16, nodes),
 		constByBits: map[uint64]uint16{},
-		constVal:    map[uint16]float64{},
+		class:       make([]segClass, 0, nodes),
+		constVal:    make([]float64, 0, nodes),
 	}
 	for _, root := range roots {
 		r, _, err := c.compile(root)
@@ -169,8 +182,25 @@ func CompileReg(roots []*Node, isState func(varIdx int) bool) (*RegProgram, erro
 		c.p.roots = append(c.p.roots, r)
 	}
 	c.p.numRegs = c.numRegs
+	c.splitSegments()
 	c.collectExogOut()
 	return c.p, nil
+}
+
+// splitSegments partitions the emitted instructions by class into the
+// program's segments, keeping emission order within each segment, over one
+// backing array.
+func (c *regCompiler) splitSegments() {
+	all := make([]rinstr, 0, len(c.code))
+	for cls := segExog; cls <= segStep; cls++ {
+		start := len(all)
+		for _, in := range c.code {
+			if c.class[in.dst] == cls {
+				all = append(all, in)
+			}
+		}
+		*c.segment(cls) = all[start:len(all):len(all)]
+	}
 }
 
 const maxRegs = 1 << 16
@@ -182,6 +212,7 @@ func (c *regCompiler) alloc(cls segClass) (uint16, error) {
 	r := uint16(c.numRegs)
 	c.numRegs++
 	c.class = append(c.class, cls)
+	c.constVal = append(c.constVal, 0)
 	return r, nil
 }
 
@@ -216,8 +247,8 @@ func (c *regCompiler) segment(cls segClass) *[]rinstr {
 	}
 }
 
-// emit value-numbers op(a, b); on a miss it appends the instruction to the
-// segment of class cls and allocates its destination register.
+// emit value-numbers op(a, b); on a miss it allocates the destination
+// register (of class cls) and appends the instruction.
 func (c *regCompiler) emit(op ropcode, a, b uint16, cls segClass) (uint16, error) {
 	key := vnKey{op, a, b}
 	if r, ok := c.vn[key]; ok {
@@ -227,8 +258,7 @@ func (c *regCompiler) emit(op ropcode, a, b uint16, cls segClass) (uint16, error
 	if err != nil {
 		return 0, err
 	}
-	seg := c.segment(cls)
-	*seg = append(*seg, rinstr{op: op, dst: r, a: a, b: b})
+	c.code = append(c.code, rinstr{op: op, dst: r, a: a, b: b})
 	c.vn[key] = r
 	return r, nil
 }
@@ -404,10 +434,12 @@ func (c *regCompiler) compile(n *Node) (uint16, segClass, error) {
 // EXOG segment (by DAY/STEP instructions or as roots): only these need to be
 // materialized into the hoisted matrix and reloaded per day.
 func (c *regCompiler) collectExogOut() {
-	live := make(map[uint16]bool)
+	live := make([]bool, c.numRegs)
+	nlive := 0
 	mark := func(r uint16) {
-		if c.class[r] == segExog {
+		if c.class[r] == segExog && !live[r] {
 			live[r] = true
+			nlive++
 		}
 	}
 	for _, seg := range [][]rinstr{c.p.day, c.p.step} {
@@ -425,10 +457,10 @@ func (c *regCompiler) collectExogOut() {
 		mark(r)
 	}
 	// Ascending register order = compile order: deterministic columns.
-	out := make([]uint16, 0, len(live))
-	for r := uint16(0); int(r) < c.numRegs; r++ {
-		if live[r] {
-			out = append(out, r)
+	out := make([]uint16, 0, nlive)
+	for r, ok := range live {
+		if ok {
+			out = append(out, uint16(r))
 		}
 	}
 	c.p.exogOut = out
