@@ -5,9 +5,14 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build vet test race fuzz chaos bench bench-smoke bench-module bencheval bench-diff servebench ensemblebench serve-smoke cover-obs check clean
+.PHONY: all fmt build vet test race fuzz chaos bench bench-smoke bench-module bencheval bench-diff servebench ensemblebench serve-smoke cover-obs check clean
 
 all: check
+
+# fmt fails when any Go file in the tree is not gofmt-formatted, listing
+# the files to reformat (gofmt -w).
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: unformatted files:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -120,7 +125,7 @@ cover-obs:
 	awk -v t="$$total" 'BEGIN { if (t+0 < 85) { printf "internal/obs coverage %.1f%% is below the 85%% floor\n", t; exit 1 } \
 		printf "internal/obs coverage %.1f%% (floor 85%%)\n", t }'
 
-check: build vet test race chaos fuzz serve-smoke cover-obs bench-module
+check: fmt build vet test race chaos fuzz serve-smoke cover-obs bench-module
 
 clean:
 	$(GO) clean ./...

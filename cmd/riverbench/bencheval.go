@@ -36,7 +36,7 @@ type benchEvalEntry struct {
 	// Cache summarizes the two-tier cache behavior under a mixed GP-like
 	// workload (many structures, jittered parameters) — the evaluator's
 	// own counter snapshot, shared with the orchestrator telemetry.
-	Cache evalx.Snapshot `json:"cache"`
+	Cache evalx.Stats `json:"cache"`
 }
 
 type benchEvalSnapshot struct {
@@ -48,7 +48,7 @@ type benchEvalSnapshot struct {
 	// format; new snapshots always use Entries.
 	GOMAXPROCS int               `json:"gomaxprocs,omitempty"`
 	Benchmarks []benchEvalResult `json:"benchmarks,omitempty"`
-	Cache      *evalx.Snapshot   `json:"cache,omitempty"`
+	Cache      *evalx.Stats      `json:"cache,omitempty"`
 }
 
 // entries returns the snapshot's runs in the current format, upgrading the
@@ -412,7 +412,7 @@ func benchEvalPass(ds *dataset.Dataset) []benchEvalResult {
 // fitness commits at every EndBatch, exactly like a generation barrier, so
 // the snapshot exercises (and the README reports) live short-circuit
 // counts instead of a dormant zero.
-func benchEvalCachePass(ds *dataset.Dataset) evalx.Snapshot {
+func benchEvalCachePass(ds *dataset.Dataset) evalx.Stats {
 	forcing, obs := ds.TrainForcing(), ds.TrainObsPhy()
 	consts := bio.DefaultConstants()
 	simCfg := bio.SimConfig{SubSteps: 2, Phy0: obs[0], Zoo0: 1.5}
@@ -460,7 +460,7 @@ func benchEvalCachePass(ds *dataset.Dataset) evalx.Snapshot {
 		ev.EvaluateParamBatch(ind, paramSets, out)
 	}
 	ev.EndBatch()
-	return ev.Snapshot()
+	return ev.Stats()
 }
 
 // compareBenchBaseline diffs a fresh snapshot against the committed

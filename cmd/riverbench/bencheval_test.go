@@ -38,7 +38,7 @@ func TestEntriesUpgradesLegacyLayout(t *testing.T) {
 		GoVersion:  "go1.24.0",
 		GOMAXPROCS: 1,
 		Benchmarks: []benchEvalResult{{Name: "evaluate_cold", NsPerOp: 100}},
-		Cache:      &evalx.Snapshot{Evaluations: 42},
+		Cache:      &evalx.Stats{Evaluations: 42},
 	}
 	es := legacy.entries()
 	if len(es) != 1 {

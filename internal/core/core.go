@@ -598,14 +598,6 @@ func registerRunObs(r *obs.Registry, run int, eng *gp.Engine, ev *evalx.Evaluato
 		return
 	}
 	ls := obs.Labels{"run": fmt.Sprint(run)}
-	r.GaugeFunc("gmr_gp_generation",
-		"Completed generations (barrier-consistent).", ls,
-		func() float64 { return float64(eng.Progress().Gen) })
-	r.GaugeFunc("gmr_gp_best_fitness",
-		"Best-ever fitness (+Inf before any finite model).", ls,
-		func() float64 { return eng.Progress().Best })
-	r.CounterFunc("gmr_gp_evaluations_total",
-		"Cumulative fitness evaluations.", ls,
-		func() float64 { return float64(eng.Progress().Evaluations) })
+	eng.RegisterObs(r, ls)
 	ev.RegisterObs(r, "gmr_evalx", ls)
 }

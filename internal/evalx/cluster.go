@@ -11,12 +11,8 @@ package evalx
 
 import (
 	"bytes"
-	"context"
-	"math"
 	"math/bits"
-	"runtime/pprof"
 
-	"gmr/internal/expr"
 	"gmr/internal/faultinject"
 	"gmr/internal/gp"
 )
@@ -42,11 +38,11 @@ func (e *Evaluator) NoteCluster(size int) {
 		return
 	}
 	if size == 1 {
-		e.ctr.popScalarFalls.Add(1)
+		e.ctr[cPopScalarFallbacks].Add(1)
 	} else {
-		e.ctr.popClusters.Add(1)
+		e.ctr[cPopClusters].Add(1)
 	}
-	e.ctr.popClusterHist[histBucket(size)].Add(1)
+	e.ctr[cPopClusterSize+counter(histBucket(size))].Add(1)
 }
 
 // histBucket maps a cluster size to its power-of-two histogram bucket:
@@ -65,90 +61,57 @@ func (e *Evaluator) EvaluateCluster(inds []*gp.Individual) {
 	sc := e.scratch.Get().(*evalScratch)
 	defer e.scratch.Put(sc)
 
-	if !e.opts.UseCache {
-		for _, ind := range inds {
-			if ind.Evaluated {
-				continue
-			}
-			e.ctr.evaluations.Add(1)
-			e.ctr.stepsPossible.Add(int64(len(e.obs)))
-			fitness, full := e.evalUncached(ind, ind.Params, sc)
-			ind.Fitness, ind.Evaluated, ind.FullEval = fitness, true, full
-		}
-		return
-	}
-
-	var first *gp.Individual
 	npend := 0
+	var key string
 	for _, ind := range inds {
 		if !ind.Evaluated {
-			if first == nil {
-				first = ind
+			if npend == 0 {
+				key = ind.StructKey()
 			}
 			npend++
 		}
 	}
-	if first == nil {
-		return
-	}
-
-	key := first.StructKey()
-	if key == "" {
-		// ResolveStruct failed to derive this structure (and counted the
-		// failed derive); quarantine without re-deriving, as the scalar
-		// path's single structFor would.
-		for _, ind := range inds {
-			if !ind.Evaluated {
-				e.markBadStructure(ind)
-			}
-		}
-		return
-	}
 	var ent *structEntry
-	if key[0] == e.keyTag {
+	if e.opts.UseCache && key != "" && key[0] == e.keyTag {
 		ent = e.lookupStruct(key)
 	}
-	if ent == nil {
-		// Key memoized by a differently-configured evaluator, or the caller
-		// skipped ResolveStruct: fall back to full scalar evaluations, which
-		// re-resolve (and count) per member.
-		for _, ind := range inds {
-			if !ind.Evaluated {
-				e.Evaluate(ind)
-			}
-		}
+	if npend > 1 && e.lanesFor(ent) {
+		e.evaluateClusterLanes(ent, key, inds, sc)
 		return
 	}
-	if ent.bad {
-		for _, ind := range inds {
-			if !ind.Evaluated {
-				e.markBadStructure(ind)
-			}
+	// Scalar fallback: singleton clusters, structures without a segmented
+	// program, and deadline-bounded configurations evaluate sequentially. A
+	// panic escapes with every earlier member committed, satisfying the
+	// panic protocol for free.
+	for _, ind := range inds {
+		if ind.Evaluated {
+			continue
 		}
-		return
-	}
-	if npend == 1 || ent.seg == nil || e.opts.EvalDeadline > 0 {
-		// Scalar fallback: singleton clusters, structures without a
-		// segmented program, and deadline-bounded configurations evaluate
-		// sequentially through the shared resolved-entry pipeline. A panic
-		// escapes with every earlier member committed, satisfying the panic
-		// protocol for free.
-		for _, ind := range inds {
-			if !ind.Evaluated {
-				e.evaluateResolved(ind, ent, key, sc)
-			}
+		switch {
+		case !e.opts.UseCache:
+			ind.Fitness, ind.FullEval = e.evalUncached(ind, ind.Params, sc)
+		case key == "" || (ent != nil && ent.bad):
+			// A failed derivation (ResolveStruct counted it and memoized no
+			// key) or a bad structure: quarantine without re-deriving, as
+			// the scalar path's single structFor would.
+			ind.Fitness, ind.FullEval = e.badStructure()
+		case ent == nil:
+			// Key memoized by a differently-configured evaluator, or the
+			// caller skipped ResolveStruct: full scalar evaluations, which
+			// re-resolve (and count) per member.
+			e.Evaluate(ind)
+		default:
+			ind.Fitness, ind.FullEval = e.evaluateResolved(ent, key, ind.Params, sc, true)
 		}
-		return
+		ind.Evaluated = true
 	}
-	e.evaluateClusterLanes(ent, key, inds, sc)
 }
 
 // evaluateClusterLanes is the lane-batched body of EvaluateCluster. Phase 1
 // walks the members in input order — counters, fault injection, tier-2
 // lookup, intra-cluster duplicate detection — collecting the cache misses as
-// pending lane members; the pending members then integrate through
-// bio.KernelLanes in expr.Lanes-wide chunks; finalize classifies, counts,
-// inserts into tier 2, and commits each member in input order. Unlike
+// pending lane members; scoreLanes scores them; the commit loop inserts
+// each into tier 2 and commits it in input order. Unlike
 // EvaluateParamBatch's high-churn sweeps, the population path does insert
 // simulated fitnesses into tier 2, exactly like scalar evaluation: clones,
 // elites, and next-generation duplicates replay these keys.
@@ -158,18 +121,17 @@ func (e *Evaluator) EvaluateCluster(inds []*gp.Individual) {
 // simulates and commits, then the panic is re-raised — so the engine's
 // recovery quarantines exactly member i and re-invokes on the tail.
 func (e *Evaluator) evaluateClusterLanes(ent *structEntry, key string, inds []*gp.Individual, sc *evalScratch) {
-	n := len(e.obs)
 	pending := sc.lane[:0]
 	dups := sc.dups[:0]
 	sc.ckeys = sc.ckeys[:0]
 	var deferred any
 
+members:
 	for i, ind := range inds {
 		if ind.Evaluated {
 			continue
 		}
-		e.ctr.evaluations.Add(1)
-		e.ctr.stepsPossible.Add(int64(n))
+		e.countEval()
 		off := len(sc.ckeys)
 		sc.ckeys = appendFitKey(sc.ckeys, key, ind.Params)
 		kb := sc.ckeys[off:]
@@ -183,149 +145,40 @@ func (e *Evaluator) evaluateClusterLanes(ent *structEntry, key string, inds []*g
 			break
 		}
 		e.opts.Faults.Sleep(site)
-		sh := &e.shards[site&(cacheShards-1)]
-		sh.mu.Lock()
-		if hit, ok := sh.fits[string(kb)]; ok {
-			sh.mu.Unlock()
-			e.ctr.cacheHits.Add(1)
+		if hit, ok := e.cachedFit(kb, site); ok {
 			ind.Fitness, ind.Evaluated, ind.FullEval = hit.fitness, true, hit.full
 			sc.ckeys = sc.ckeys[:off]
 			continue
 		}
-		sh.mu.Unlock()
 		// Intra-cluster duplicate of a pending member: sequential order
 		// would simulate the first occurrence and serve this one from
 		// tier 2, so adopt the source's result after it commits.
-		dup := false
-		for j := range pending {
-			pk := sc.ckeys[pending[j].keyOff : pending[j].keyOff+pending[j].keyLen]
-			if bytes.Equal(pk, kb) {
-				dups = append(dups, dupPair{dst: ind, src: inds[pending[j].idx]})
-				dup = true
-				break
+		for _, p := range pending {
+			if bytes.Equal(sc.ckeys[p.keyOff:p.keyOff+p.keyLen], kb) {
+				dups = append(dups, dupPair{dst: ind, src: inds[p.idx]})
+				sc.ckeys = sc.ckeys[:off]
+				continue members
 			}
 		}
-		if dup {
-			sc.ckeys = sc.ckeys[:off]
-			continue
-		}
-		// Cache miss: this member simulates. The plan lookup is counted per
-		// simulated member, like the scalar path's planFor inside simulate.
-		e.planFor(ent)
-		poison := -1
-		if n > 0 && e.opts.Faults.Hit(faultinject.NaN, site) {
-			poison = int(site % uint64(n))
-		}
-		pending = append(pending, laneMember{
-			idx: i, params: ind.Params, poison: poison,
-			keyOff: off, keyLen: len(kb), site: site,
-		})
+		m := e.laneMember(ent, i, ind.Params, site)
+		m.keyOff, m.keyLen = off, len(kb)
+		pending = append(pending, m)
 	}
 	sc.lane = pending
 	sc.dups = dups
 
-	threshold := e.opts.Threshold
-	best := math.Inf(1)
-	if e.opts.UseShortCircuit {
-		best = math.Float64frombits(e.frozenBits.Load())
-	}
-	minSteps := int(e.opts.MinFrac * float64(n))
-	var chunk []laneMember
-	hook := func(m, t int, bphy float64) bool {
-		lm := &chunk[m]
-		if t == lm.poison {
-			bphy = math.NaN()
-		}
-		if math.IsNaN(bphy) || math.IsInf(bphy, 0) {
-			lm.sse = math.Inf(1)
-			lm.steps = t + 1
-			if math.IsNaN(bphy) {
-				lm.reason = ReasonNaN
-			} else {
-				lm.reason = ReasonInf
-			}
-			return false
-		}
-		d := bphy - e.obs[t]
-		lm.sse += d * d
-		lm.steps = t + 1
-		if !e.opts.UseShortCircuit || math.IsInf(best, 1) || t+1 < minSteps {
-			return true
-		}
-		fitness := math.Sqrt(lm.sse / float64(t+1))
-		if fitness > best*threshold {
-			est := e.opts.Extrap(fitness, t, n)
-			if est > best {
-				lm.short = est
-				lm.scd = true
-				return false // short circuit: the lane compacts away
-			}
-		}
-		return true
-	}
-
-	plan := ent.plan // materialized above via planFor
-	dropsBefore := sc.sim.LaneDrops
-	for start := 0; start < len(pending); start += expr.Lanes {
-		end := min(start+expr.Lanes, len(pending))
-		chunk = pending[start:end]
-		ps := sc.laneParams[:0]
-		for i := range chunk {
-			ps = append(ps, chunk[i].params)
-		}
-		sc.laneParams = ps
-		e.ctr.laneBatches.Add(1)
-		e.ctr.lanesFilled.Add(int64(len(chunk)))
-		e.ctr.popLaneBatches.Add(1)
-		e.ctr.popLanesFilled.Add(int64(len(chunk)))
-		span := e.tracer.Start("evalx.lane_batch")
-		if e.profLabels {
-			pprof.Do(context.Background(), pprof.Labels("eval_phase", "prologue"), func(context.Context) {
-				ent.seg.PrologueLanes(ps, &sc.sim)
-			})
-			pprof.Do(context.Background(), pprof.Labels("eval_phase", "step-kernel"), func(context.Context) {
-				ent.seg.KernelLanes(plan, e.opts.Sim, &sc.sim, len(chunk), hook)
-			})
-		} else {
-			ent.seg.PrologueLanes(ps, &sc.sim)
-			ent.seg.KernelLanes(plan, e.opts.Sim, &sc.sim, len(chunk), hook)
-		}
-		span.End()
-	}
-	e.ctr.laneCompacts.Add(int64(sc.sim.LaneDrops - dropsBefore))
-
-	for i := range pending {
-		lm := &pending[i]
-		ind := inds[lm.idx]
-		var fitness float64
-		var full bool
-		switch {
-		case lm.scd:
-			fitness, full = lm.short, false
-			e.ctr.laneShortCircs.Add(1)
-		case math.IsInf(lm.sse, 1) || lm.steps == 0 || lm.steps < n:
-			if lm.reason == ReasonOK && (math.IsInf(lm.sse, 1) || lm.steps > 0) {
-				lm.reason = ReasonNaN
-			}
-			fitness, full = math.Inf(1), true
-		default:
-			fitness, full = math.Sqrt(lm.sse/float64(n)), true
-		}
-		e.ctr.quarantineCount(lm.reason)
-		e.recordResult(fitness, full, lm.steps)
+	launches := e.scoreLanes(ent, pending, sc)
+	e.ctr[cPopLaneBatches].Add(int64(launches))
+	e.ctr[cPopLanesFilled].Add(int64(len(pending)))
+	for _, m := range pending {
 		// Tier-2 insert, like the scalar path (deadline configurations
 		// never reach the lane path, so no uncacheable results land here).
-		kb := sc.ckeys[lm.keyOff : lm.keyOff+lm.keyLen]
-		sh := &e.shards[lm.site&(cacheShards-1)]
-		sh.mu.Lock()
-		if _, ok := sh.fits[string(kb)]; !ok {
-			sh.fits[string(kb)] = cacheEntry{fitness, full}
-		}
-		sh.mu.Unlock()
-		ind.Fitness, ind.Evaluated, ind.FullEval = fitness, true, full
+		e.cacheFit(sc.ckeys[m.keyOff:m.keyOff+m.keyLen], m.site, m.fitness, m.full)
+		ind := inds[m.idx]
+		ind.Fitness, ind.Evaluated, ind.FullEval = m.fitness, true, m.full
 	}
 	for _, d := range dups {
-		e.ctr.cacheHits.Add(1)
+		e.ctr[cCacheHits].Add(1)
 		d.dst.Fitness, d.dst.Evaluated, d.dst.FullEval = d.src.Fitness, true, d.src.FullEval
 	}
 	if deferred != nil {

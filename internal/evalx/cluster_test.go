@@ -231,7 +231,7 @@ func TestClusterWorkersParity(t *testing.T) {
 }
 
 // TestClusterTelemetryExposition: the pop_* scheduler counters must be
-// visible on both telemetry paths — the Snapshot JSON the orchestrator
+// visible on both telemetry paths — the Stats JSON the orchestrator
 // streams into JSONL, and the obs registry's Prometheus exposition.
 func TestClusterTelemetryExposition(t *testing.T) {
 	forcing, obsF, consts := smallData(t)
@@ -251,7 +251,7 @@ func TestClusterTelemetryExposition(t *testing.T) {
 	if st.PopClusters == 0 || st.PopLanesFilled == 0 {
 		t.Fatalf("scheduler counters empty after a clustered pass: %+v", st)
 	}
-	b, err := json.Marshal(ev.Snapshot())
+	b, err := json.Marshal(ev.Stats())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,9 +31,7 @@
 package evalx
 
 import (
-	"context"
 	"math"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"sync"
@@ -189,205 +187,6 @@ func (r Reason) String() string {
 	}
 }
 
-// Stats counts evaluator work for the Fig 10/11 analyses and the cache
-// telemetry of the two-tier evaluation cache.
-type Stats struct {
-	Evaluations    int // Evaluate calls
-	FullEvals      int // evaluations that ran every fitness case
-	ShortCircuits  int // evaluations stopped early
-	CacheHits      int // tier-2 hits: (structure, params) fitness served from cache
-	Tier1Hits      int // tier-1 hits: compiled structure served from cache
-	Derives        int // derive→simplify pipeline executions
-	Compiles       int // structure builds (bind + compile)
-	StepsEvaluated int // total fitness cases actually simulated
-	StepsPossible  int // fitness cases that full evaluation would cost
-
-	// Tier-1.5 (exogenous-plan) cache and batch-evaluation counters
-	// (DESIGN.md §10).
-	ExogPlanBuilds int // T×k exogenous matrices materialized (once per structure)
-	ExogPlanHits   int // segmented simulations served by an existing plan
-	RegsHoisted    int // exogenous registers hoisted across all plan builds (Σ k)
-	BatchCalls     int // EvaluateParamBatch invocations
-	BatchMembers   int // parameter vectors evaluated through the batch API
-
-	// Lane-batched kernel counters (DESIGN.md §11): one lane batch is one
-	// KernelLanes launch scoring up to expr.Lanes members per instruction
-	// dispatch. LanesFilled sums the live lanes across launches, so
-	// LanesFilled/LaneBatches is the average fill; LaneShortCircuits counts
-	// Algorithm 1 early stops decided inside lane batches (a subset of
-	// ShortCircuits).
-	LaneBatches       int // KernelLanes launches
-	LanesFilled       int // members carried by those launches (Σ chunk sizes)
-	LaneShortCircuits int // short circuits decided on the lane path
-	LaneCompactions   int // lanes compacted away mid-launch (aborts + early stops)
-
-	// Structure-clustered population-scheduler counters (DESIGN.md §14):
-	// clusters are same-structure groups the GP generation loop dispatched
-	// through EvaluateCluster; scalar fallbacks are singleton clusters
-	// (unique structures, failed derivations, or the -nocluster ablation).
-	// PopLaneBatches/PopLanesFilled are the subset of LaneBatches/
-	// LanesFilled launched from the population path, and the histogram
-	// buckets cluster sizes at powers of two (1, 2, ≤4, ≤8, ..., >64).
-	PopClusters        int                 // multi-member clusters scheduled
-	PopScalarFallbacks int                 // singleton clusters (scalar path)
-	PopLaneBatches     int                 // KernelLanes launches from EvaluateCluster
-	PopLanesFilled     int                 // members carried by those launches
-	PopClusterSizeHist [PopHistBuckets]int // cluster sizes, power-of-two buckets
-
-	// Quarantine counters, by reason code (simulations aborted with +Inf
-	// fitness rather than a measured RMSE).
-	QuarNaN          int // state became NaN mid-simulation
-	QuarInf          int // state overflowed to ±Inf mid-simulation
-	QuarDeadline     int // evaluation exceeded the per-evaluation deadline
-	QuarBadStructure int // derivation failed to derive/bind/compile
-}
-
-// PopHistBuckets is the number of power-of-two buckets of the cluster-size
-// histogram: sizes 1, 2, 3–4, 5–8, 9–16, 17–32, 33–64, and >64.
-const PopHistBuckets = 8
-
-// Quarantined returns the total number of quarantined evaluations.
-func (s Stats) Quarantined() int {
-	return s.QuarNaN + s.QuarInf + s.QuarDeadline + s.QuarBadStructure
-}
-
-// Add accumulates another stats snapshot (e.g. across per-run evaluators).
-func (s *Stats) Add(o Stats) {
-	s.Evaluations += o.Evaluations
-	s.FullEvals += o.FullEvals
-	s.ShortCircuits += o.ShortCircuits
-	s.CacheHits += o.CacheHits
-	s.Tier1Hits += o.Tier1Hits
-	s.Derives += o.Derives
-	s.Compiles += o.Compiles
-	s.StepsEvaluated += o.StepsEvaluated
-	s.StepsPossible += o.StepsPossible
-	s.ExogPlanBuilds += o.ExogPlanBuilds
-	s.ExogPlanHits += o.ExogPlanHits
-	s.RegsHoisted += o.RegsHoisted
-	s.BatchCalls += o.BatchCalls
-	s.BatchMembers += o.BatchMembers
-	s.LaneBatches += o.LaneBatches
-	s.LanesFilled += o.LanesFilled
-	s.LaneShortCircuits += o.LaneShortCircuits
-	s.LaneCompactions += o.LaneCompactions
-	s.PopClusters += o.PopClusters
-	s.PopScalarFallbacks += o.PopScalarFallbacks
-	s.PopLaneBatches += o.PopLaneBatches
-	s.PopLanesFilled += o.PopLanesFilled
-	for i := range s.PopClusterSizeHist {
-		s.PopClusterSizeHist[i] += o.PopClusterSizeHist[i]
-	}
-	s.QuarNaN += o.QuarNaN
-	s.QuarInf += o.QuarInf
-	s.QuarDeadline += o.QuarDeadline
-	s.QuarBadStructure += o.QuarBadStructure
-}
-
-// counters is the lock-free internal form of Stats: every field is an
-// atomic so concurrent Evaluate calls never contend on a stats mutex.
-type counters struct {
-	evaluations    atomic.Int64
-	fullEvals      atomic.Int64
-	shortCircuits  atomic.Int64
-	cacheHits      atomic.Int64
-	tier1Hits      atomic.Int64
-	derives        atomic.Int64
-	compiles       atomic.Int64
-	stepsEvaluated atomic.Int64
-	stepsPossible  atomic.Int64
-	exogPlanBuilds atomic.Int64
-	exogPlanHits   atomic.Int64
-	regsHoisted    atomic.Int64
-	batchCalls     atomic.Int64
-	batchMembers   atomic.Int64
-	laneBatches    atomic.Int64
-	lanesFilled    atomic.Int64
-	laneShortCircs atomic.Int64
-	laneCompacts   atomic.Int64
-	popClusters    atomic.Int64
-	popScalarFalls atomic.Int64
-	popLaneBatches atomic.Int64
-	popLanesFilled atomic.Int64
-	popClusterHist [PopHistBuckets]atomic.Int64
-	quarantine     [numReasons]atomic.Int64
-}
-
-func (c *counters) snapshot() Stats {
-	var hist [PopHistBuckets]int
-	for i := range c.popClusterHist {
-		hist[i] = int(c.popClusterHist[i].Load())
-	}
-	return Stats{
-		Evaluations:        int(c.evaluations.Load()),
-		FullEvals:          int(c.fullEvals.Load()),
-		ShortCircuits:      int(c.shortCircuits.Load()),
-		CacheHits:          int(c.cacheHits.Load()),
-		Tier1Hits:          int(c.tier1Hits.Load()),
-		Derives:            int(c.derives.Load()),
-		Compiles:           int(c.compiles.Load()),
-		StepsEvaluated:     int(c.stepsEvaluated.Load()),
-		StepsPossible:      int(c.stepsPossible.Load()),
-		ExogPlanBuilds:     int(c.exogPlanBuilds.Load()),
-		ExogPlanHits:       int(c.exogPlanHits.Load()),
-		RegsHoisted:        int(c.regsHoisted.Load()),
-		BatchCalls:         int(c.batchCalls.Load()),
-		BatchMembers:       int(c.batchMembers.Load()),
-		LaneBatches:        int(c.laneBatches.Load()),
-		LanesFilled:        int(c.lanesFilled.Load()),
-		LaneShortCircuits:  int(c.laneShortCircs.Load()),
-		LaneCompactions:    int(c.laneCompacts.Load()),
-		PopClusters:        int(c.popClusters.Load()),
-		PopScalarFallbacks: int(c.popScalarFalls.Load()),
-		PopLaneBatches:     int(c.popLaneBatches.Load()),
-		PopLanesFilled:     int(c.popLanesFilled.Load()),
-		PopClusterSizeHist: hist,
-		QuarNaN:            int(c.quarantine[ReasonNaN].Load()),
-		QuarInf:            int(c.quarantine[ReasonInf].Load()),
-		QuarDeadline:       int(c.quarantine[ReasonDeadline].Load()),
-		QuarBadStructure:   int(c.quarantine[ReasonBadStructure].Load()),
-	}
-}
-
-func (c *counters) reset() {
-	c.evaluations.Store(0)
-	c.fullEvals.Store(0)
-	c.shortCircuits.Store(0)
-	c.cacheHits.Store(0)
-	c.tier1Hits.Store(0)
-	c.derives.Store(0)
-	c.compiles.Store(0)
-	c.stepsEvaluated.Store(0)
-	c.stepsPossible.Store(0)
-	c.exogPlanBuilds.Store(0)
-	c.exogPlanHits.Store(0)
-	c.regsHoisted.Store(0)
-	c.batchCalls.Store(0)
-	c.batchMembers.Store(0)
-	c.laneBatches.Store(0)
-	c.lanesFilled.Store(0)
-	c.laneShortCircs.Store(0)
-	c.laneCompacts.Store(0)
-	c.popClusters.Store(0)
-	c.popScalarFalls.Store(0)
-	c.popLaneBatches.Store(0)
-	c.popLanesFilled.Store(0)
-	for i := range c.popClusterHist {
-		c.popClusterHist[i].Store(0)
-	}
-	for i := range c.quarantine {
-		c.quarantine[i].Store(0)
-	}
-}
-
-// quarantineCount counts one quarantined evaluation under reason r
-// (ReasonOK is ignored).
-func (c *counters) quarantineCount(r Reason) {
-	if r != ReasonOK {
-		c.quarantine[r].Add(1)
-	}
-}
-
 // Evaluator scores gp.Individuals by simulating their revised process over
 // the training window and measuring RMSE against observations. It is safe
 // for concurrent Evaluate calls between BeginBatch and EndBatch.
@@ -434,13 +233,13 @@ type Evaluator struct {
 type evalScratch struct {
 	sim        bio.SimScratch
 	key        []byte
-	lane       []laneMember
+	lane       []member
 	laneParams [][]float64
 	// Cluster-path buffers (EvaluateCluster): ckeys holds every pending
-	// member's rendered tier-2 key back to back (laneMember.keyOff/keyLen
-	// index into it, so finalize can insert without re-rendering); dups
-	// collects intra-cluster (structure, params) duplicates, resolved as
-	// cache hits after their source member commits.
+	// member's rendered tier-2 key back to back (member.keyOff/keyLen
+	// index into it, so the commit loop can insert without re-rendering);
+	// dups collects intra-cluster (structure, params) duplicates, resolved
+	// as cache hits after their source member commits.
 	ckeys []byte
 	dups  []dupPair
 }
@@ -450,27 +249,6 @@ type evalScratch struct {
 // as a tier-2 cache hit (what sequential evaluation order would produce).
 type dupPair struct {
 	dst, src *gp.Individual
-}
-
-// laneMember is the per-member accumulator of one lane-batched evaluation:
-// the same running state the scalar simulate keeps in closure locals, held
-// per lane so one hook can drive all members of a KernelLanes launch.
-type laneMember struct {
-	idx    int // index into the caller's out (or inds) slice
-	params []float64
-	poison int // fault-injected NaN step, -1 when clean
-	sse    float64
-	steps  int
-	short  float64 // extrapolated surrogate fitness when scd
-	scd    bool
-	reason Reason
-
-	// Cluster-path bookkeeping (EvaluateCluster): the member's tier-2 key
-	// within evalScratch.ckeys and its fault/shard site hash, kept so the
-	// finalize loop can insert the simulated fitness into the tier-2 cache
-	// exactly like the scalar path. Unused by EvaluateParamBatch.
-	keyOff, keyLen int
-	site           uint64
 }
 
 // cacheEntry is a tier-2 record: the memoized fitness of one
@@ -583,115 +361,6 @@ func (e *Evaluator) Stats() Stats { return e.ctr.snapshot() }
 // ResetStats zeroes the work counters (the caches are kept).
 func (e *Evaluator) ResetStats() { e.ctr.reset() }
 
-// Snapshot is a JSON-marshalable copy of the evaluator's atomic work
-// counters, with per-tier hits/misses and derived hit rates — the cache
-// telemetry record consumed by the run orchestrator's JSONL stream and the
-// bencheval snapshot. Tier-1 misses are evaluations that had to run the
-// derive→simplify pipeline; tier-2 misses are evaluations whose fitness was
-// not served from the (structure, params) cache (including all evaluations
-// when caching is disabled).
-type Snapshot struct {
-	Evaluations    int     `json:"evaluations"`
-	FullEvals      int     `json:"full_evals"`
-	ShortCircuits  int     `json:"short_circuits"`
-	Tier1Hits      int     `json:"tier1_hits"`
-	Tier1Misses    int     `json:"tier1_misses"`
-	Tier2Hits      int     `json:"tier2_hits"`
-	Tier2Misses    int     `json:"tier2_misses"`
-	Tier1HitRate   float64 `json:"tier1_hit_rate"`
-	Tier2HitRate   float64 `json:"tier2_hit_rate"`
-	Derives        int     `json:"derives"`
-	Compiles       int     `json:"compiles"`
-	StepsEvaluated int     `json:"steps_evaluated"`
-	StepsPossible  int     `json:"steps_possible"`
-
-	// Tier-1.5 exogenous-plan cache and batch-evaluation telemetry
-	// (DESIGN.md §10): plans are hoisted T×k forcing matrices built once
-	// per structure; hits are segmented simulations that reused one.
-	ExogPlanBuilds int `json:"exog_plan_builds"`
-	ExogPlanHits   int `json:"exog_plan_hits"`
-	RegsHoisted    int `json:"regs_hoisted"`
-	BatchCalls     int `json:"batch_calls"`
-	BatchMembers   int `json:"batch_members"`
-
-	// Lane-batched kernel telemetry (DESIGN.md §11): launches of the
-	// multi-lane STEP kernel, the members they carried (their ratio is the
-	// average lane fill), and Algorithm 1 early stops decided inside lane
-	// batches.
-	LaneBatches       int `json:"lane_batches"`
-	LanesFilled       int `json:"lanes_filled"`
-	LaneShortCircuits int `json:"lane_short_circuits"`
-	LaneCompactions   int `json:"lane_compactions"`
-
-	// Structure-clustered population-scheduler telemetry (DESIGN.md §14):
-	// same-structure clusters the generation loop dispatched through the
-	// lane kernel, singleton scalar fallbacks, the lane launches the
-	// population path issued, and the power-of-two cluster-size histogram
-	// (buckets 1, 2, ≤4, ≤8, ≤16, ≤32, ≤64, >64).
-	PopClusters        int                 `json:"pop_clusters"`
-	PopScalarFallbacks int                 `json:"pop_scalar_fallbacks"`
-	PopLaneBatches     int                 `json:"pop_lane_batches"`
-	PopLanesFilled     int                 `json:"pop_lanes_filled"`
-	PopClusterSizeHist [PopHistBuckets]int `json:"pop_cluster_size_hist"`
-
-	// Quarantine counters (omitted when zero, so fault-free streams keep
-	// their previous byte format).
-	QuarNaN          int `json:"quar_nan,omitempty"`
-	QuarInf          int `json:"quar_inf,omitempty"`
-	QuarDeadline     int `json:"quar_deadline,omitempty"`
-	QuarBadStructure int `json:"quar_bad_structure,omitempty"`
-}
-
-// Snapshot returns the JSON-marshalable counter snapshot. It is safe to
-// call concurrently with evaluations; the counters are read atomically
-// (field by field, so a snapshot taken mid-batch is a near-instant rather
-// than perfectly instantaneous cut).
-func (e *Evaluator) Snapshot() Snapshot {
-	st := e.ctr.snapshot()
-	snap := Snapshot{
-		Evaluations:        st.Evaluations,
-		FullEvals:          st.FullEvals,
-		ShortCircuits:      st.ShortCircuits,
-		Tier1Hits:          st.Tier1Hits,
-		Tier1Misses:        st.Evaluations - st.Tier1Hits,
-		Tier2Hits:          st.CacheHits,
-		Tier2Misses:        st.Evaluations - st.CacheHits,
-		Derives:            st.Derives,
-		Compiles:           st.Compiles,
-		StepsEvaluated:     st.StepsEvaluated,
-		StepsPossible:      st.StepsPossible,
-		ExogPlanBuilds:     st.ExogPlanBuilds,
-		ExogPlanHits:       st.ExogPlanHits,
-		RegsHoisted:        st.RegsHoisted,
-		BatchCalls:         st.BatchCalls,
-		BatchMembers:       st.BatchMembers,
-		LaneBatches:        st.LaneBatches,
-		LanesFilled:        st.LanesFilled,
-		LaneShortCircuits:  st.LaneShortCircuits,
-		LaneCompactions:    st.LaneCompactions,
-		PopClusters:        st.PopClusters,
-		PopScalarFallbacks: st.PopScalarFallbacks,
-		PopLaneBatches:     st.PopLaneBatches,
-		PopLanesFilled:     st.PopLanesFilled,
-		PopClusterSizeHist: st.PopClusterSizeHist,
-		QuarNaN:            st.QuarNaN,
-		QuarInf:            st.QuarInf,
-		QuarDeadline:       st.QuarDeadline,
-		QuarBadStructure:   st.QuarBadStructure,
-	}
-	if snap.Tier1Misses < 0 {
-		snap.Tier1Misses = 0
-	}
-	if snap.Tier2Misses < 0 {
-		snap.Tier2Misses = 0
-	}
-	if st.Evaluations > 0 {
-		snap.Tier1HitRate = float64(st.Tier1Hits) / float64(st.Evaluations)
-		snap.Tier2HitRate = float64(st.CacheHits) / float64(st.Evaluations)
-	}
-	return snap
-}
-
 // ShortCircuitRef returns the committed short-circuiting reference (the
 // best previously fully evaluated fitness; +Inf before any full
 // evaluation). It is checkpoint state: resuming a run with a fresh
@@ -719,44 +388,46 @@ func (e *Evaluator) Evaluate(ind *gp.Individual) {
 	defer e.scratch.Put(sc)
 
 	if !e.opts.UseCache {
-		e.ctr.evaluations.Add(1)
-		e.ctr.stepsPossible.Add(int64(len(e.obs)))
-		fitness, full := e.evalUncached(ind, ind.Params, sc)
-		ind.Fitness, ind.Evaluated, ind.FullEval = fitness, true, full
+		ind.Fitness, ind.FullEval = e.evalUncached(ind, ind.Params, sc)
+		ind.Evaluated = true
 		return
 	}
-
 	ent, key := e.structFor(ind)
 	if ent == nil || ent.bad {
-		e.markBadStructure(ind)
-		return
+		ind.Fitness, ind.FullEval = e.badStructure()
+	} else {
+		ind.Fitness, ind.FullEval = e.evaluateResolved(ent, key, ind.Params, sc, true)
 	}
-	e.evaluateResolved(ind, ent, key, sc)
+	ind.Evaluated = true
 }
 
-// markBadStructure quarantines an individual whose structure failed to
-// derive, bind, or compile, with the same counter trail as a scalar
-// evaluation of it (evaluation counted, no fault injection, no simulation).
-func (e *Evaluator) markBadStructure(ind *gp.Individual) {
-	e.ctr.evaluations.Add(1)
-	e.ctr.stepsPossible.Add(int64(len(e.obs)))
+// countEval counts one evaluation and the fitness cases a full one costs.
+func (e *Evaluator) countEval() {
+	e.ctr[cEvaluations].Add(1)
+	e.ctr[cStepsPossible].Add(int64(len(e.obs)))
+}
+
+// badStructure scores an evaluation whose structure failed to derive, bind,
+// or compile: counted and quarantined, with no fault injection and no
+// simulation.
+func (e *Evaluator) badStructure() (float64, bool) {
+	e.countEval()
 	e.ctr.quarantineCount(ReasonBadStructure)
-	ind.Fitness, ind.Evaluated, ind.FullEval = math.Inf(1), true, true
+	return math.Inf(1), true
 }
 
 // evaluateResolved is the cached evaluation pipeline after structure
-// resolution: tier-2 lookup, fault injection, simulation, quarantine
-// classification, and the tier-2 insert. Shared by Evaluate (which resolves
-// via structFor) and EvaluateCluster's scalar path (whose members were
-// resolved up front by ResolveStruct).
-func (e *Evaluator) evaluateResolved(ind *gp.Individual, ent *structEntry, key string, sc *evalScratch) {
-	e.ctr.evaluations.Add(1)
-	e.ctr.stepsPossible.Add(int64(len(e.obs)))
-
+// resolution: tier-2 lookup, fault injection, simulation, and (with insert)
+// the tier-2 insert. Shared by Evaluate (which resolves via structFor),
+// EvaluateCluster's scalar path (whose members were resolved up front by
+// ResolveStruct), and EvaluateParamBatch's scalar path, which never
+// inserts.
+func (e *Evaluator) evaluateResolved(ent *structEntry, key string, params []float64, sc *evalScratch, insert bool) (float64, bool) {
+	e.countEval()
 	// Tier 2: (structure, params) → fitness. The key is rendered into
 	// per-goroutine scratch; map lookups with string(kb) do not
 	// allocate, only a first-time insert materializes the string.
-	kb := appendFitKey(sc.key[:0], key, ind.Params)
+	kb := appendFitKey(sc.key[:0], key, params)
 	sc.key = kb
 	site := hashBytes(kb)
 	// Fault injection happens before the tier-2 lookup so the decision
@@ -764,30 +435,38 @@ func (e *Evaluator) evaluateResolved(ind *gp.Individual, ent *structEntry, key s
 	// warmth (a cache hit for a NaN-poisoned key returns the same +Inf
 	// the poisoned simulation produced). Nil injector: two nil checks.
 	e.injectPre(site)
-	sh := &e.shards[site&(cacheShards-1)]
-	sh.mu.Lock()
-	if hit, ok := sh.fits[string(kb)]; ok {
-		sh.mu.Unlock()
-		e.ctr.cacheHits.Add(1)
-		ind.Fitness, ind.Evaluated, ind.FullEval = hit.fitness, true, hit.full
-		return
+	if hit, ok := e.cachedFit(kb, site); ok {
+		return hit.fitness, hit.full
 	}
-	sh.mu.Unlock()
-
-	fitness, full, steps, reason := e.simulate(ent, ind.Params, sc, site)
-	e.ctr.quarantineCount(reason)
-	e.recordResult(fitness, full, steps)
-
+	fitness, full, reason := e.simulate(ent, params, sc, site)
 	// Deadline aborts depend on wall-clock time; caching one would make
 	// a transient stall permanent for that (structure, params) pair.
-	if reason != ReasonDeadline {
-		sh.mu.Lock()
-		if _, ok := sh.fits[string(kb)]; !ok {
-			sh.fits[string(kb)] = cacheEntry{fitness, full}
-		}
-		sh.mu.Unlock()
+	if insert && reason != ReasonDeadline {
+		e.cacheFit(kb, site, fitness, full)
 	}
-	ind.Fitness, ind.Evaluated, ind.FullEval = fitness, true, full
+	return fitness, full
+}
+
+// cachedFit looks a tier-2 key up, counting a hit.
+func (e *Evaluator) cachedFit(kb []byte, site uint64) (cacheEntry, bool) {
+	sh := &e.shards[site&(cacheShards-1)]
+	sh.mu.Lock()
+	hit, ok := sh.fits[string(kb)]
+	sh.mu.Unlock()
+	if ok {
+		e.ctr[cCacheHits].Add(1)
+	}
+	return hit, ok
+}
+
+// cacheFit inserts a tier-2 record; on a racing insert the first one wins.
+func (e *Evaluator) cacheFit(kb []byte, site uint64, fitness float64, full bool) {
+	sh := &e.shards[site&(cacheShards-1)]
+	sh.mu.Lock()
+	if _, ok := sh.fits[string(kb)]; !ok {
+		sh.fits[string(kb)] = cacheEntry{fitness, full}
+	}
+	sh.mu.Unlock()
 }
 
 // evalUncached is the cache-free pipeline (the Fig 10 ablation baseline):
@@ -796,21 +475,18 @@ func (e *Evaluator) evaluateResolved(ind *gp.Individual, ent *structEntry, key s
 func (e *Evaluator) evalUncached(ind *gp.Individual, params []float64, sc *evalScratch) (float64, bool) {
 	phy, zoo, err := e.deriveSplitSimplify(ind)
 	if err != nil {
-		e.ctr.quarantineCount(ReasonBadStructure)
-		return math.Inf(1), true
+		return e.badStructure()
 	}
 	ent := e.buildEntry(phy, zoo)
 	if ent.bad {
-		e.ctr.quarantineCount(ReasonBadStructure)
-		return math.Inf(1), true
+		return e.badStructure()
 	}
+	e.countEval()
 	// Without a cache key, the injection site hash derives from the
 	// parameter vector (bit patterns), seeded by a fixed base.
 	site := faultinject.HashFloats(uncachedSiteBase, params)
 	e.injectPre(site)
-	fitness, full, steps, reason := e.simulate(ent, params, sc, site)
-	e.ctr.quarantineCount(reason)
-	e.recordResult(fitness, full, steps)
+	fitness, full, _ := e.simulate(ent, params, sc, site)
 	return fitness, full
 }
 
@@ -830,204 +506,74 @@ func (e *Evaluator) evalUncached(ind *gp.Individual, params []float64, sc *evalS
 // path is allocation-free. It is safe for concurrent calls between
 // BeginBatch and EndBatch.
 func (e *Evaluator) EvaluateParamBatch(ind *gp.Individual, paramSets [][]float64, out []gp.BatchResult) []gp.BatchResult {
-	e.ctr.batchCalls.Add(1)
-	e.ctr.batchMembers.Add(int64(len(paramSets)))
+	e.ctr[cBatchCalls].Add(1)
+	e.ctr[cBatchMembers].Add(int64(len(paramSets)))
 
 	sc := e.scratch.Get().(*evalScratch)
 	defer e.scratch.Put(sc)
 
-	if !e.opts.UseCache {
-		// Ablation configurations run the full uncached pipeline per
-		// member, exactly like sequential Evaluate calls, so the Fig 10
-		// derive/compile counters keep their meaning.
-		for _, ps := range paramSets {
-			e.ctr.evaluations.Add(1)
-			e.ctr.stepsPossible.Add(int64(len(e.obs)))
-			fitness, full := e.evalUncached(ind, ps, sc)
-			out = append(out, gp.BatchResult{Fitness: fitness, Full: full})
+	var ent *structEntry
+	var key string
+	if e.opts.UseCache {
+		ent, key = e.structFor(ind)
+		if ent != nil && !ent.bad && len(paramSets) > 1 {
+			// The remaining members share the resolved structure by
+			// construction; count them as tier-1 hits so hit-rate telemetry
+			// stays comparable with sequential evaluation.
+			e.ctr[cTier1Hits].Add(int64(len(paramSets) - 1))
 		}
-		return out
-	}
-
-	ent, key := e.structFor(ind)
-	if ent != nil && !ent.bad && len(paramSets) > 1 {
-		// The remaining members share the resolved structure by
-		// construction; count them as tier-1 hits so hit-rate telemetry
-		// stays comparable with sequential evaluation.
-		e.ctr.tier1Hits.Add(int64(len(paramSets) - 1))
-	}
-	if ent != nil && !ent.bad && ent.seg != nil && e.opts.EvalDeadline == 0 {
-		// Lane-batched fast path (DESIGN.md §11): score up to expr.Lanes
-		// members per STEP-instruction dispatch. Deadline evaluations stay
-		// on the scalar path — their wall-clock polls are per-member.
-		return e.evalParamBatchLanes(ent, key, paramSets, out, sc)
+		if e.lanesFor(ent) {
+			return e.evalParamBatchLanes(ent, key, paramSets, out, sc)
+		}
 	}
 	for _, ps := range paramSets {
-		e.ctr.evaluations.Add(1)
-		e.ctr.stepsPossible.Add(int64(len(e.obs)))
-		if ent == nil || ent.bad {
-			e.ctr.quarantineCount(ReasonBadStructure)
-			out = append(out, gp.BatchResult{Fitness: math.Inf(1), Full: true})
-			continue
+		var r gp.BatchResult
+		switch {
+		case !e.opts.UseCache:
+			// Ablation configurations run the full uncached pipeline per
+			// member, exactly like sequential Evaluate calls, so the Fig 10
+			// derive/compile counters keep their meaning.
+			r.Fitness, r.Full = e.evalUncached(ind, ps, sc)
+		case ent == nil || ent.bad:
+			r.Fitness, r.Full = e.badStructure()
+		default:
+			r.Fitness, r.Full = e.evaluateResolved(ent, key, ps, sc, false)
 		}
-		kb := appendFitKey(sc.key[:0], key, ps)
-		sc.key = kb
-		site := hashBytes(kb)
-		e.injectPre(site)
-		sh := &e.shards[site&(cacheShards-1)]
-		sh.mu.Lock()
-		if hit, ok := sh.fits[string(kb)]; ok {
-			sh.mu.Unlock()
-			e.ctr.cacheHits.Add(1)
-			out = append(out, gp.BatchResult{Fitness: hit.fitness, Full: hit.full})
-			continue
-		}
-		sh.mu.Unlock()
-		fitness, full, steps, reason := e.simulate(ent, ps, sc, site)
-		e.ctr.quarantineCount(reason)
-		e.recordResult(fitness, full, steps)
-		out = append(out, gp.BatchResult{Fitness: fitness, Full: full})
+		out = append(out, r)
 	}
 	return out
 }
 
+// lanesFor reports whether members of a resolved structure can be scored
+// on the lane-batched kernel (DESIGN.md §11): the structure must have a
+// segmented program, and deadline evaluations stay on the scalar path —
+// their wall-clock polls are per-member.
+func (e *Evaluator) lanesFor(ent *structEntry) bool {
+	return ent != nil && !ent.bad && ent.seg != nil && e.opts.EvalDeadline == 0
+}
+
 // evalParamBatchLanes is the lane-batched body of EvaluateParamBatch: the
-// members that miss the tier-2 cache integrate through bio.KernelLanes in
-// expr.Lanes-wide chunks, one instruction dispatch scoring the whole chunk.
-// Per-member semantics are exactly the scalar simulate's — the same fault
-// sites and NaN poisons, the same Algorithm 1 short-circuit decisions
-// against the batch-frozen reference, the same quarantine classification —
-// because the per-member hook state (laneMember) mirrors the scalar
-// closure's locals and the lane kernel delivers bitwise-identical per-day
-// values. A member whose evaluation short-circuits or aborts drops out of
-// its chunk mid-flight (lane compaction), so UseShortCircuit saves real
-// work inside batches instead of only truncating one member's loop.
+// members that miss the tier-2 cache are scored by scoreLanes.
 func (e *Evaluator) evalParamBatchLanes(ent *structEntry, key string, paramSets [][]float64, out []gp.BatchResult, sc *evalScratch) []gp.BatchResult {
-	n := len(e.obs)
 	base := len(out)
 	pending := sc.lane[:0]
 	for i, ps := range paramSets {
-		e.ctr.evaluations.Add(1)
-		e.ctr.stepsPossible.Add(int64(n))
+		e.countEval()
 		out = append(out, gp.BatchResult{})
 		kb := appendFitKey(sc.key[:0], key, ps)
 		sc.key = kb
 		site := hashBytes(kb)
 		e.injectPre(site)
-		sh := &e.shards[site&(cacheShards-1)]
-		sh.mu.Lock()
-		if hit, ok := sh.fits[string(kb)]; ok {
-			sh.mu.Unlock()
-			e.ctr.cacheHits.Add(1)
+		if hit, ok := e.cachedFit(kb, site); ok {
 			out[base+i] = gp.BatchResult{Fitness: hit.fitness, Full: hit.full}
 			continue
 		}
-		sh.mu.Unlock()
-		// Cache miss: this member simulates. The plan lookup is counted
-		// per simulated member, exactly like the scalar path's planFor
-		// call inside simulate.
-		e.planFor(ent)
-		poison := -1
-		if n > 0 && e.opts.Faults.Hit(faultinject.NaN, site) {
-			poison = int(site % uint64(n))
-		}
-		pending = append(pending, laneMember{idx: base + i, params: ps, poison: poison})
+		pending = append(pending, e.laneMember(ent, base+i, ps, site))
 	}
 	sc.lane = pending
-	if len(pending) == 0 {
-		return out
-	}
-
-	threshold := e.opts.Threshold
-	best := math.Inf(1)
-	if e.opts.UseShortCircuit {
-		best = math.Float64frombits(e.frozenBits.Load())
-	}
-	minSteps := int(e.opts.MinFrac * float64(n))
-	var chunk []laneMember
-	hook := func(m, t int, bphy float64) bool {
-		lm := &chunk[m]
-		if t == lm.poison {
-			bphy = math.NaN()
-		}
-		if math.IsNaN(bphy) || math.IsInf(bphy, 0) {
-			lm.sse = math.Inf(1)
-			lm.steps = t + 1
-			if math.IsNaN(bphy) {
-				lm.reason = ReasonNaN
-			} else {
-				lm.reason = ReasonInf
-			}
-			return false
-		}
-		d := bphy - e.obs[t]
-		lm.sse += d * d
-		lm.steps = t + 1
-		if !e.opts.UseShortCircuit || math.IsInf(best, 1) || t+1 < minSteps {
-			return true
-		}
-		fitness := math.Sqrt(lm.sse / float64(t+1))
-		if fitness > best*threshold {
-			est := e.opts.Extrap(fitness, t, n)
-			if est > best {
-				lm.short = est
-				lm.scd = true
-				return false // short circuit: the lane compacts away
-			}
-		}
-		return true
-	}
-
-	plan := ent.plan // materialized above via planFor
-	dropsBefore := sc.sim.LaneDrops
-	for start := 0; start < len(pending); start += expr.Lanes {
-		end := start + expr.Lanes
-		if end > len(pending) {
-			end = len(pending)
-		}
-		chunk = pending[start:end]
-		ps := sc.laneParams[:0]
-		for i := range chunk {
-			ps = append(ps, chunk[i].params)
-		}
-		sc.laneParams = ps
-		e.ctr.laneBatches.Add(1)
-		e.ctr.lanesFilled.Add(int64(len(chunk)))
-		span := e.tracer.Start("evalx.lane_batch")
-		if e.profLabels {
-			pprof.Do(context.Background(), pprof.Labels("eval_phase", "prologue"), func(context.Context) {
-				ent.seg.PrologueLanes(ps, &sc.sim)
-			})
-			pprof.Do(context.Background(), pprof.Labels("eval_phase", "step-kernel"), func(context.Context) {
-				ent.seg.KernelLanes(plan, e.opts.Sim, &sc.sim, len(chunk), hook)
-			})
-		} else {
-			ent.seg.PrologueLanes(ps, &sc.sim)
-			ent.seg.KernelLanes(plan, e.opts.Sim, &sc.sim, len(chunk), hook)
-		}
-		span.End()
-	}
-	e.ctr.laneCompacts.Add(int64(sc.sim.LaneDrops - dropsBefore))
-
-	for i := range pending {
-		lm := &pending[i]
-		var fitness float64
-		var full bool
-		switch {
-		case lm.scd:
-			fitness, full = lm.short, false
-			e.ctr.laneShortCircs.Add(1)
-		case math.IsInf(lm.sse, 1) || lm.steps == 0 || lm.steps < n:
-			if lm.reason == ReasonOK && (math.IsInf(lm.sse, 1) || lm.steps > 0) {
-				lm.reason = ReasonNaN
-			}
-			fitness, full = math.Inf(1), true
-		default:
-			fitness, full = math.Sqrt(lm.sse/float64(n)), true
-		}
-		e.ctr.quarantineCount(lm.reason)
-		e.recordResult(fitness, full, lm.steps)
-		out[lm.idx] = gp.BatchResult{Fitness: fitness, Full: full}
+	e.scoreLanes(ent, pending, sc)
+	for _, m := range pending {
+		out[m.idx] = gp.BatchResult{Fitness: m.fitness, Full: m.full}
 	}
 	return out
 }
@@ -1046,22 +592,6 @@ func (e *Evaluator) injectPre(h uint64) {
 	e.opts.Faults.Sleep(h)
 }
 
-// recordResult folds one simulation outcome into the counters and the
-// pending short-circuit reference.
-func (e *Evaluator) recordResult(fitness float64, full bool, steps int) {
-	e.ctr.stepsEvaluated.Add(int64(steps))
-	if full {
-		e.ctr.fullEvals.Add(1)
-		e.batchMu.Lock()
-		if fitness < e.pendingBest {
-			e.pendingBest = fitness
-		}
-		e.batchMu.Unlock()
-	} else {
-		e.ctr.shortCircuits.Add(1)
-	}
-}
-
 // structFor resolves the individual's executable structure through the
 // tier-1 cache. The fast path uses the structure key memoized on the
 // individual and touches neither the derivation tree nor the printer; the
@@ -1070,7 +600,7 @@ func (e *Evaluator) recordResult(fitness float64, full bool, steps int) {
 func (e *Evaluator) structFor(ind *gp.Individual) (*structEntry, string) {
 	if key := ind.StructKey(); key != "" && key[0] == e.keyTag {
 		if ent := e.lookupStruct(key); ent != nil {
-			e.ctr.tier1Hits.Add(1)
+			e.ctr[cTier1Hits].Add(1)
 			return ent, key
 		}
 		// The key is known but this evaluator has no entry yet;
@@ -1083,7 +613,7 @@ func (e *Evaluator) structFor(ind *gp.Individual) (*structEntry, string) {
 	key := e.renderKey(phy, zoo)
 	ind.SetStructKey(key)
 	if ent := e.lookupStruct(key); ent != nil {
-		e.ctr.tier1Hits.Add(1)
+		e.ctr[cTier1Hits].Add(1)
 		return ent, key
 	}
 	return e.insertStruct(key, e.buildEntry(phy, zoo)), key
@@ -1114,7 +644,7 @@ func (e *Evaluator) insertStruct(key string, ent *structEntry) *structEntry {
 // deriveSplitSimplify turns the derivation tree into the two (optionally
 // simplified, still unbound) derivative expressions.
 func (e *Evaluator) deriveSplitSimplify(ind *gp.Individual) (phy, zoo *expr.Node, err error) {
-	e.ctr.derives.Add(1)
+	e.ctr[cDerives].Add(1)
 	derived, err := ind.Deriv.Derive()
 	if err != nil {
 		return nil, nil, err
@@ -1140,7 +670,7 @@ func (e *Evaluator) buildEntry(phy, zoo *expr.Node) *structEntry {
 	if err := grammar.BindSystem(phy, zoo, e.consts); err != nil {
 		return &structEntry{bad: true}
 	}
-	e.ctr.compiles.Add(1)
+	e.ctr[cCompiles].Add(1)
 	if !e.opts.UseCompile {
 		return &structEntry{tree: bio.NewTreeSystem(phy, zoo)}
 	}
@@ -1162,19 +692,13 @@ func (e *Evaluator) planFor(ent *structEntry) *bio.ExogPlan {
 	ent.planOnce.Do(func() {
 		span := e.tracer.Start("evalx.exog_plan")
 		defer span.End()
-		if e.profLabels {
-			pprof.Do(context.Background(), pprof.Labels("eval_phase", "exog-plan"), func(context.Context) {
-				ent.plan = ent.seg.BuildExogPlan(e.forcing)
-			})
-		} else {
-			ent.plan = ent.seg.BuildExogPlan(e.forcing)
-		}
-		e.ctr.exogPlanBuilds.Add(1)
-		e.ctr.regsHoisted.Add(int64(ent.plan.Width()))
+		e.labeled("exog-plan", func() { ent.plan = ent.seg.BuildExogPlan(e.forcing) })
+		e.ctr[cExogPlanBuilds].Add(1)
+		e.ctr[cRegsHoisted].Add(int64(ent.plan.Width()))
 		built = true
 	})
 	if !built {
-		e.ctr.exogPlanHits.Add(1)
+		e.ctr[cExogPlanHits].Add(1)
 	}
 	return ent.plan
 }
@@ -1201,118 +725,6 @@ func appendFitKey(buf []byte, structKey string, params []float64) []byte {
 		buf = append(buf, ',')
 	}
 	return buf
-}
-
-// simulate runs the forward simulation, accumulating the running RMSE and
-// applying Algorithm 1 when short-circuiting is enabled. It returns the
-// fitness (final RMSE, or the extrapolated surrogate when short-circuited),
-// whether the evaluation was full, the number of fitness cases simulated,
-// and the quarantine reason (ReasonOK for a clean simulation).
-//
-// site is the deterministic fault-injection site hash of this evaluation;
-// when the NaN fault class fires, one simulation step (chosen from the
-// hash) is poisoned with NaN, exercising the numeric quarantine end to end.
-func (e *Evaluator) simulate(ent *structEntry, params []float64, sc *evalScratch, site uint64) (float64, bool, int, Reason) {
-	n := len(e.obs)
-	threshold := e.opts.Threshold
-	best := math.Inf(1)
-	if e.opts.UseShortCircuit {
-		best = math.Float64frombits(e.frozenBits.Load())
-	}
-	poisonStep := -1
-	if n > 0 && e.opts.Faults.Hit(faultinject.NaN, site) {
-		poisonStep = int(site % uint64(n))
-	}
-	// The per-evaluation deadline is context-based: a context is created
-	// only when a deadline is configured, and its Done channel is polled
-	// every 32 fitness cases (off the hot path; zero cost when disabled).
-	var done <-chan struct{}
-	if d := e.opts.EvalDeadline; d > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), d)
-		defer cancel()
-		done = ctx.Done()
-	}
-	var sse float64
-	steps := 0
-	shortFitness := math.NaN()
-	scd := false
-	reason := ReasonOK
-	minSteps := int(e.opts.MinFrac * float64(n))
-	perStep := func(t int, bphy float64) bool {
-		if t == poisonStep {
-			bphy = math.NaN()
-		}
-		if math.IsNaN(bphy) || math.IsInf(bphy, 0) {
-			sse = math.Inf(1)
-			steps = t + 1
-			if math.IsNaN(bphy) {
-				reason = ReasonNaN
-			} else {
-				reason = ReasonInf
-			}
-			return false
-		}
-		d := bphy - e.obs[t]
-		sse += d * d
-		steps = t + 1
-		if done != nil && (t+1)&31 == 0 {
-			select {
-			case <-done:
-				sse = math.Inf(1)
-				reason = ReasonDeadline
-				return false
-			default:
-			}
-		}
-		if !e.opts.UseShortCircuit || math.IsInf(best, 1) || t+1 < minSteps {
-			return true
-		}
-		fitness := math.Sqrt(sse / float64(t+1))
-		if fitness > best*threshold {
-			est := e.opts.Extrap(fitness, t, n)
-			if est > best {
-				shortFitness = est
-				scd = true
-				return false // short circuit
-			}
-		}
-		return true
-	}
-	if ent.seg != nil {
-		// Segmented path (DESIGN.md §10): exogenous work is served from
-		// the tier-1.5 plan, the parameter prologue runs once, and only
-		// the state-dependent STEP segment runs per substep.
-		plan := e.planFor(ent)
-		span := e.tracer.Start("evalx.simulate")
-		defer span.End()
-		if e.profLabels {
-			pprof.Do(context.Background(), pprof.Labels("eval_phase", "prologue"), func(context.Context) {
-				ent.seg.Prologue(params, &sc.sim)
-			})
-			pprof.Do(context.Background(), pprof.Labels("eval_phase", "step-kernel"), func(context.Context) {
-				ent.seg.Kernel(plan, e.opts.Sim, &sc.sim, perStep)
-			})
-		} else {
-			ent.seg.Prologue(params, &sc.sim)
-			ent.seg.Kernel(plan, e.opts.Sim, &sc.sim, perStep)
-		}
-	} else {
-		ent.tree.RunBuf(e.forcing, params, e.opts.Sim, &sc.sim, perStep)
-	}
-	if scd {
-		return shortFitness, false, steps, ReasonOK
-	}
-	if math.IsInf(sse, 1) || steps == 0 || steps < n {
-		// Non-finite state or an early abort: a full evaluation of an
-		// invalid model. Classify unlabeled aborts (the simulator
-		// stopped before the per-day hook could see the bad value) as
-		// NaN quarantines.
-		if reason == ReasonOK && (math.IsInf(sse, 1) || steps > 0) {
-			reason = ReasonNaN
-		}
-		return math.Inf(1), true, steps, reason
-	}
-	return math.Sqrt(sse / float64(n)), true, steps, ReasonOK
 }
 
 // PredictIndividual simulates an individual's revised process over an

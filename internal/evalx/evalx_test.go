@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"gmr/internal/bio"
@@ -411,15 +412,48 @@ func TestEngineDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestStatsAdd: Add sums every counterTable row and re-derives the misses
+// (clamped at zero) and hit rates of the sum; the table binds each counter
+// field of Stats exactly once.
 func TestStatsAdd(t *testing.T) {
-	a := Stats{Evaluations: 1, FullEvals: 2, ShortCircuits: 3, CacheHits: 4,
-		Tier1Hits: 5, Derives: 6, Compiles: 7, StepsEvaluated: 8, StepsPossible: 9}
+	var a Stats
+	for i, row := range counterTable {
+		*row.field(&a) = i + 1
+	}
+	seen := map[int]bool{}
+	v := reflect.ValueOf(a)
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), v.Type().Field(i).Name
+		switch {
+		case name == "Tier1Misses" || name == "Tier2Misses" || f.Kind() == reflect.Float64:
+		case f.Kind() == reflect.Array:
+			for j := 0; j < f.Len(); j++ {
+				seen[int(f.Index(j).Int())] = true
+			}
+		default:
+			if seen[int(f.Int())] || f.Int() == 0 {
+				t.Errorf("Stats.%s is not bound to its own counterTable row", name)
+			}
+			seen[int(f.Int())] = true
+		}
+	}
+	if len(seen) != int(numCounters) {
+		t.Errorf("counterTable binds %d distinct fields, want %d", len(seen), numCounters)
+	}
+
+	a.Evaluations, a.Tier1Hits, a.CacheHits = 8, 6, 10
 	b := a
 	a.Add(b)
-	want := Stats{Evaluations: 2, FullEvals: 4, ShortCircuits: 6, CacheHits: 8,
-		Tier1Hits: 10, Derives: 12, Compiles: 14, StepsEvaluated: 16, StepsPossible: 18}
-	if a != want {
-		t.Errorf("Stats.Add wrong: %+v, want %+v", a, want)
+	for i, row := range counterTable {
+		if got, want := *row.field(&a), 2**row.field(&b); got != want {
+			t.Errorf("row %d (%s): Add gave %d, want %d", i, row.name, got, want)
+		}
+	}
+	if a.Tier1Misses != 4 || a.Tier2Misses != 0 {
+		t.Errorf("misses %d/%d, want 4/0 (tier 2 clamped)", a.Tier1Misses, a.Tier2Misses)
+	}
+	if a.Tier1HitRate != 0.75 || a.Tier2HitRate != 1.25 {
+		t.Errorf("hit rates %v/%v, want 0.75/1.25", a.Tier1HitRate, a.Tier2HitRate)
 	}
 }
 
@@ -488,7 +522,7 @@ func TestSnapshotCountersAndJSON(t *testing.T) {
 	}
 	ev.EndBatch()
 
-	snap := ev.Snapshot()
+	snap := ev.Stats()
 	if snap.Evaluations != 24 {
 		t.Fatalf("evaluations = %d, want 24", snap.Evaluations)
 	}
@@ -496,16 +530,16 @@ func TestSnapshotCountersAndJSON(t *testing.T) {
 		t.Errorf("tier-1 hits %d + misses %d != evaluations %d",
 			snap.Tier1Hits, snap.Tier1Misses, snap.Evaluations)
 	}
-	if snap.Tier2Hits+snap.Tier2Misses != snap.Evaluations {
+	if snap.CacheHits+snap.Tier2Misses != snap.Evaluations {
 		t.Errorf("tier-2 hits %d + misses %d != evaluations %d",
-			snap.Tier2Hits, snap.Tier2Misses, snap.Evaluations)
+			snap.CacheHits, snap.Tier2Misses, snap.Evaluations)
 	}
-	if snap.Tier2Hits < 8 {
-		t.Errorf("tier-2 hits = %d, want ≥ 8 (round 2 repeats round 1 exactly)", snap.Tier2Hits)
+	if snap.CacheHits < 8 {
+		t.Errorf("tier-2 hits = %d, want ≥ 8 (round 2 repeats round 1 exactly)", snap.CacheHits)
 	}
-	if snap.Tier1Hits < snap.Tier2Hits {
+	if snap.Tier1Hits < snap.CacheHits {
 		t.Errorf("tier-1 hits %d < tier-2 hits %d; jittered params should still hit tier 1",
-			snap.Tier1Hits, snap.Tier2Hits)
+			snap.Tier1Hits, snap.CacheHits)
 	}
 	if r := snap.Tier1HitRate; r <= 0 || r > 1 {
 		t.Errorf("tier-1 hit rate %v outside (0, 1]", r)
@@ -517,7 +551,7 @@ func TestSnapshotCountersAndJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Snapshot
+	var back Stats
 	if err := json.Unmarshal(blob, &back); err != nil {
 		t.Fatal(err)
 	}

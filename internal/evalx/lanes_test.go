@@ -57,7 +57,7 @@ func TestLaneBatchShortCircuits(t *testing.T) {
 }
 
 // TestLaneCountersInSnapshot: the lane telemetry flows through Stats and
-// the JSON Snapshot with the documented names.
+// its JSON record with the documented names.
 func TestLaneCountersInSnapshot(t *testing.T) {
 	forcing, obs, consts := smallData(t)
 	ind, _ := manualInd(t)
@@ -80,7 +80,7 @@ func TestLaneCountersInSnapshot(t *testing.T) {
 	if st.LanesFilled != members {
 		t.Fatalf("LanesFilled = %d, want %d", st.LanesFilled, members)
 	}
-	b, err := json.Marshal(ev.Snapshot())
+	b, err := json.Marshal(ev.Stats())
 	if err != nil {
 		t.Fatal(err)
 	}

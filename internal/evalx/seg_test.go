@@ -203,7 +203,7 @@ func TestBatchSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // TestExogPlanCountersInSnapshot: the tier-1.5 counters surface through
-// Snapshot for the orchestrator's JSONL telemetry.
+// the Stats JSON record for the orchestrator's JSONL telemetry.
 func TestExogPlanCountersInSnapshot(t *testing.T) {
 	forcing, obs, consts := smallData(t)
 	ind, _ := manualInd(t)
@@ -220,7 +220,7 @@ func TestExogPlanCountersInSnapshot(t *testing.T) {
 		ev.Evaluate(c)
 	}
 	ev.EndBatch()
-	snap := ev.Snapshot()
+	snap := ev.Stats()
 	if snap.ExogPlanBuilds != 1 {
 		t.Fatalf("ExogPlanBuilds = %d, want 1", snap.ExogPlanBuilds)
 	}

@@ -268,6 +268,26 @@ func (e *Engine) Progress() Progress {
 	}
 }
 
+// RegisterObs publishes the engine's progress mirror on an obs registry as
+// scrape-time series — gmr_gp_generation, gmr_gp_best_fitness and
+// gmr_gp_evaluations_total — under the given labels (a run or an island).
+// The callbacks read Progress, so a scrape never races the stepping
+// goroutine. No-op without a registry.
+func (e *Engine) RegisterObs(r *obs.Registry, labels obs.Labels) {
+	if r == nil {
+		return
+	}
+	r.GaugeFunc("gmr_gp_generation",
+		"Completed generations (barrier-consistent).", labels,
+		func() float64 { return float64(e.Progress().Gen) })
+	r.GaugeFunc("gmr_gp_best_fitness",
+		"Best-ever fitness (+Inf before any finite model).", labels,
+		func() float64 { return e.Progress().Best })
+	r.CounterFunc("gmr_gp_evaluations_total",
+		"Cumulative fitness evaluations.", labels,
+		func() float64 { return float64(e.Progress().Evaluations) })
+}
+
 // noteProgress publishes the stepping goroutine's state to the atomic
 // mirror; called at every generation barrier.
 func (e *Engine) noteProgress() {

@@ -1,13 +1,16 @@
 package gp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"gmr/internal/expr"
+	"gmr/internal/obs"
 	"gmr/internal/tag"
 )
 
@@ -480,5 +483,46 @@ func TestParsimonyReducesFinalSize(t *testing.T) {
 	lean := run(0.1)
 	if lean > plain+1 {
 		t.Errorf("parsimony pressure grew mean size: %v vs %v", lean, plain)
+	}
+}
+
+// TestEngineRegisterObs: the progress series carry the caller's labels,
+// show the engine's progress after a run, and keep one help string per
+// family when several engines register on one registry.
+func TestEngineRegisterObs(t *testing.T) {
+	reg := obs.NewRegistry()
+	var engs []*Engine
+	for i := 0; i < 2; i++ {
+		eng, err := NewEngine(testGrammar(), &valueEvaluator{target: 5}, smallConfig(int64(i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.RegisterObs(reg, obs.Labels{"island": strconv.Itoa(i)})
+		engs = append(engs, eng)
+	}
+	if _, err := engs[0].Run(); err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.ValidateExposition([]byte(buf.String())); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	p := engs[0].Progress()
+	for _, want := range []string{
+		fmt.Sprintf(`gmr_gp_generation{island="0"} %d`, p.Gen),
+		`gmr_gp_generation{island="1"} 0`,
+		fmt.Sprintf(`gmr_gp_evaluations_total{island="0"} %d`, p.Evaluations),
+		`gmr_gp_best_fitness{island="1"} +Inf`,
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("exposition lacks %q:\n%s", want, out)
+		}
+	}
+	if n := strings.Count(out, "# HELP gmr_gp_"); n != 3 {
+		t.Errorf("%d gp HELP lines, want 3", n)
 	}
 }

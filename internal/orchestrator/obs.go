@@ -24,22 +24,13 @@ func (o *Orchestrator) registerObs() {
 	if r == nil {
 		return
 	}
-	for i := range o.engines {
-		eng := o.engines[i]
+	for i, eng := range o.engines {
 		ls := obs.Labels{"island": strconv.Itoa(i)}
-		r.GaugeFunc("gmr_gp_generation",
-			"Completed generations per island (barrier-consistent).", ls,
-			func() float64 { return float64(eng.Progress().Gen) })
-		r.GaugeFunc("gmr_gp_best_fitness",
-			"Best-ever fitness per island (+Inf before any finite model).", ls,
-			func() float64 { return eng.Progress().Best })
-		r.CounterFunc("gmr_gp_evaluations_total",
-			"Cumulative fitness evaluations per island.", ls,
-			func() float64 { return float64(eng.Progress().Evaluations) })
+		eng.RegisterObs(r, ls)
 		if ev, ok := o.evals[i].(interface {
 			RegisterObs(*obs.Registry, string, obs.Labels)
 		}); ok {
-			ev.RegisterObs(r, "gmr_evalx", obs.Labels{"island": strconv.Itoa(i)})
+			ev.RegisterObs(r, "gmr_evalx", ls)
 		}
 	}
 }

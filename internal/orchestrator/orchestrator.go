@@ -311,12 +311,12 @@ func (o *Orchestrator) migrate() {
 
 // emitGenRecords writes one telemetry record per island for the current
 // generation, including the engine's panic-quarantine counter and the
-// evaluator's cache snapshot when available.
+// evaluator's counters when available.
 func (o *Orchestrator) emitGenRecords() {
 	for i, e := range o.engines {
-		var cache *evalx.Snapshot
-		if sp, ok := o.evals[i].(interface{ Snapshot() evalx.Snapshot }); ok {
-			s := sp.Snapshot()
+		var cache *evalx.Stats
+		if sp, ok := o.evals[i].(interface{ Stats() evalx.Stats }); ok {
+			s := sp.Stats()
 			cache = &s
 		}
 		o.tele.generation(i, e.LastStats(), e.Quarantines(), cache)

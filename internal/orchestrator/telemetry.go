@@ -65,8 +65,8 @@ type genRecord struct {
 	// streams byte-identical to the previous format). Like the cache
 	// counters, it is per-process observability and restarts from zero
 	// on resume.
-	Quarantines int64           `json:"quarantines,omitempty"`
-	Cache       *evalx.Snapshot `json:"cache,omitempty"`
+	Quarantines int64        `json:"quarantines,omitempty"`
+	Cache       *evalx.Stats `json:"cache,omitempty"`
 }
 
 type migrationRecord struct {
@@ -148,7 +148,7 @@ func (t *telemetry) runStart(cfg Config, startGen int, resumed bool) {
 	})
 }
 
-func (t *telemetry) generation(island int, s gp.GenStats, quarantines int64, cache *evalx.Snapshot) {
+func (t *telemetry) generation(island int, s gp.GenStats, quarantines int64, cache *evalx.Stats) {
 	t.emit(genRecord{
 		Type:        "gen",
 		Island:      island,

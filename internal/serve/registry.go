@@ -155,10 +155,6 @@ func NewRegistry(dir string, consts []bio.Constant, trainForcing [][]float64, tr
 // Catalog returns the current immutable catalog.
 func (r *Registry) Catalog() *catalog { return r.cur.Load() }
 
-// EvalSnapshot exposes the validation evaluator's read-only counter
-// snapshot for /metrics (tier hits, exogenous-plan builds, quarantines).
-func (r *Registry) EvalSnapshot() evalx.Snapshot { return r.eval.Snapshot() }
-
 // Reloads returns how many catalog loads have completed (≥1 after New).
 func (r *Registry) Reloads() int { return int(r.reloads.Load()) }
 
