@@ -12,6 +12,9 @@ package gmr
 //	fitness.golden  a fixed population's fitness under three evaluator modes
 //	evalx.golden    param-batch and population-path fitness plus the
 //	                evaluator's JSON counter record, per evaluator mode
+//	serve.golden    exact /v1 and /v2 forecast response bodies: point,
+//	                concurrent co-batched point, and a posterior ensemble
+//	                with one divergent member
 //
 // Each file holds one "<item> <value>" line per item; a failure names the
 // first item that diverges. After an intended behaviour change, regenerate
@@ -30,11 +33,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gmr/internal/bio"
 	"gmr/internal/calib"
@@ -45,6 +51,7 @@ import (
 	"gmr/internal/faultinject"
 	"gmr/internal/gp"
 	"gmr/internal/grammar"
+	"gmr/internal/serve"
 	"gmr/internal/stats"
 	"gmr/internal/tag"
 )
@@ -180,6 +187,24 @@ func TestGoldenCalibration(t *testing.T) {
 			g.add(c.Name()+"/batch", "f=%016x x=%s", math.Float64bits(f), floatsDigest(x))
 		}
 	}
+	// Eleven vectors span two lane launches, the second ragged; vector 4
+	// diverges and is compacted out of the first launch mid-flight.
+	rng := stats.NewRand(5)
+	vecs := make([][]float64, 11)
+	for i := range vecs {
+		vecs[i] = make([]float64, len(lo))
+		for j := range vecs[i] {
+			vecs[i][j] = lo[j] + rng.Float64()*(hi[j]-lo[j])
+			if i == 4 {
+				vecs[i][j] = 1e300
+			}
+		}
+	}
+	var scores []string
+	for _, f := range batch(vecs, nil) {
+		scores = append(scores, fmt.Sprintf("%016x", math.Float64bits(f)))
+	}
+	g.add("RiverBatchObjective/11", "%s", strings.Join(scores, ","))
 	checkGolden(t, "calib.golden", g)
 }
 
@@ -394,4 +419,80 @@ func goldenStatsJSON(t *testing.T, ev *evalx.Evaluator) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// TestGoldenServe pins exact forecast response bodies of a server over the
+// golden dataset, serving the unrevised baseline model with a nine-sample
+// posterior whose sample 4 diverges: one /v1 and one /v2 point forecast,
+// ten concurrent /v2 point forecasts with distinct parameters (co-batched
+// into lane cohorts by the batcher), and one nine-member /v2 ensemble.
+func TestGoldenServe(t *testing.T) {
+	ds := goldenDataset(t)
+	ind, gram, err := core.ManualIndividual(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := gp.NewBundle(ind, gram, "golden", serve.ConfigDigest(bio.DefaultConstants(), dataset.ModelSimConfig(2, 0, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.SavedAt = time.Date(2021, 4, 19, 0, 0, 0, 0, time.UTC) // the model version hashes the file
+	consts := bio.DefaultConstants()
+	rng := rand.New(rand.NewSource(23))
+	samples := make([][]float64, 9)
+	for i := range samples {
+		v := append([]float64(nil), ind.Params...)
+		for j, c := range consts {
+			v[j] = math.Min(c.Max, math.Max(c.Min, v[j]+0.05*(c.Max-c.Min)*(rng.Float64()-0.5)))
+			if i == 4 {
+				v[j] = 1e300
+			}
+		}
+		samples[i] = v
+	}
+	b.Posterior = gp.NewBundlePosterior("DREAM", samples)
+	dir := t.TempDir()
+	f, err := os.Create(filepath.Join(dir, "golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Write(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := serve.New(serve.Config{Dataset: ds, ModelsDir: dir, CacheSize: -1, BatchWindow: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	post := func(path, body string) string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Errorf("POST %s %s: status %d: %s", path, body, rec.Code, rec.Body)
+		}
+		return strings.TrimSuffix(rec.Body.String(), "\n")
+	}
+
+	var g goldenLines
+	g.add("v1/point", "%s", post("/v1/forecast", `{"days":30}`))
+	g.add("v2/point", "%s", post("/v2/forecast", `{"days":30,"params":{"CUA":1.5}}`))
+	bodies := make([]string, 10)
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bodies[i] = post("/v2/forecast", fmt.Sprintf(`{"days":30,"params":{"CUA":%g}}`, 1+0.1*float64(i)))
+		}()
+	}
+	wg.Wait()
+	for i, body := range bodies {
+		g.add(fmt.Sprintf("v2/concurrent%d", i), "%s", body)
+	}
+	g.add("v2/ensemble", "%s", post("/v2/forecast", `{"days":30,"ensemble":{"members":9}}`))
+	checkGolden(t, "serve.golden", g)
 }
