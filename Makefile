@@ -41,13 +41,15 @@ fuzz:
 	$(GO) test -fuzz FuzzForecastRequestDecode -fuzztime $(FUZZTIME) ./internal/serve/api/
 
 # chaos runs the fault-injection suite (injected panics, NaN poison,
-# checkpoint truncation, resume-under-faults determinism) and the
+# checkpoint truncation, resume-under-faults determinism), the
 # clustered-scheduler differential tests (cluster/scalar/worker-count
-# parity, with and without faults) under the race detector.
+# parity, with and without faults) and the divergent-member quarantine of
+# every lane-kernel caller under the race detector.
 chaos:
 	$(GO) test -race ./internal/faultinject/
 	$(GO) test -race -run 'Chaos|Cluster|Fault|Quarantine|Backup|Truncation' \
-		./internal/evalx/ ./internal/gp/ ./internal/orchestrator/
+		./internal/evalx/ ./internal/gp/ ./internal/orchestrator/ \
+		./internal/ensemble/ ./internal/serve/
 
 # bench runs the hot-path microbenchmarks with allocation reporting.
 bench:

@@ -1,6 +1,8 @@
 package bio
 
 import (
+	"time"
+
 	"gmr/internal/expr"
 )
 
@@ -26,40 +28,48 @@ import (
 // that member early; on a non-finite abort it is called one final time
 // with the offending value (and the member stops regardless of the return
 // value). member is the index into the params slice passed to
-// PrologueLanes, stable across lane compaction.
+// KernelLanes, stable across launches and lane compaction.
 type LaneHook func(member, t int, bphy float64) bool
 
-// PrologueLanes sizes the lane-major scratch buffers and runs the
-// per-candidate PARAM segment for each of the n = len(params) candidates,
-// one per lane. 1 ≤ n ≤ expr.Lanes is required; tail lanes of a short
-// batch are padded by repeating params[0] (they compute real, finite
-// values and are never reported). It must be called once per batch before
-// KernelLanes with the same scratch.
-func (s *SegSystem) PrologueLanes(params [][]float64, sc *SimScratch) {
+// KernelLanes integrates every parameter vector in params over the plan's
+// days: expr.Lanes members per launch, in input order, each launch running
+// the per-candidate PARAM prologue and then all its members in lockstep.
+// Predictions are delivered through hook (which must be non-nil): for each
+// live member, per day, hook(member, t, bphy) — exactly the values the
+// scalar Kernel would append to preds and pass to perStep for that
+// member's parameters. onLaunch, when non-nil, observes each launch: its
+// member count, start time and wall time (the clock is read only then).
+// Steady-state calls with a reused SimScratch are allocation-free.
+func (s *SegSystem) KernelLanes(plan *ExogPlan, cfg SimConfig, sc *SimScratch, params [][]float64, hook LaneHook, onLaunch func(n int, start time.Time, d time.Duration)) {
+	cfg = cfg.withDefaults()
+	for base := 0; base < len(params); base += expr.Lanes {
+		chunk := params[base:min(base+expr.Lanes, len(params))]
+		if onLaunch == nil {
+			s.launchLanes(plan, cfg, sc, base, chunk, hook)
+			continue
+		}
+		t0 := time.Now()
+		s.launchLanes(plan, cfg, sc, base, chunk, hook)
+		onLaunch(len(chunk), t0, time.Since(t0))
+	}
+}
+
+// launchLanes runs one launch of 1 ≤ len(chunk) ≤ expr.Lanes members,
+// reported to hook as base+lane. The PARAM segment runs once per lane;
+// tail lanes of a short chunk are padded by repeating chunk[0] (they
+// compute real, finite values and are never reported).
+func (s *SegSystem) launchLanes(plan *ExogPlan, cfg SimConfig, sc *SimScratch, base int, chunk [][]float64, hook LaneHook) {
+	const L = expr.Lanes
 	sc.regsLanes = growBuf(sc.regsLanes, s.Prog.LaneRegs())
-	for l := 0; l < expr.Lanes; l++ {
-		if l < len(params) {
-			sc.paramLanes[l] = params[l]
+	for l := range sc.paramLanes {
+		if l < len(chunk) {
+			sc.paramLanes[l] = chunk[l]
 		} else {
-			sc.paramLanes[l] = params[0]
+			sc.paramLanes[l] = chunk[0]
 		}
 	}
 	s.Prog.EvalParamLanes(&sc.paramLanes, sc.regsLanes)
-}
-
-// KernelLanes integrates n candidates over the plan's days in lockstep.
-// PrologueLanes must have run first with the same scratch and n parameter
-// vectors. Predictions are delivered through hook (which must be non-nil):
-// for each live member, per day, hook(member, t, bphy) — exactly the
-// values the scalar Kernel would append to preds and pass to perStep for
-// that member's parameters. Steady-state calls with a reused SimScratch
-// are allocation-free.
-func (s *SegSystem) KernelLanes(plan *ExogPlan, cfg SimConfig, sc *SimScratch, n int, hook LaneHook) {
-	cfg = cfg.withDefaults()
-	const L = expr.Lanes
-	if n > L {
-		n = L
-	}
+	n := len(chunk)
 	sc.varsLanes = growBuf(sc.varsLanes, NumVars*L)
 	vars, regs := sc.varsLanes, sc.regsLanes
 	prog, k := s.Prog, plan.k
@@ -69,7 +79,7 @@ func (s *SegSystem) KernelLanes(plan *ExogPlan, cfg SimConfig, sc *SimScratch, n
 	var member [L]int
 	for l := 0; l < n; l++ {
 		bphy[l], bzoo[l] = cfg.Phy0, cfg.Zoo0
-		member[l] = l
+		member[l] = base + l
 	}
 	active := n
 	phyLane := vars[IdxBPhy*L : IdxBPhy*L+L]
@@ -122,25 +132,5 @@ func (s *SegSystem) KernelLanes(plan *ExogPlan, cfg SimConfig, sc *SimScratch, n
 		if active == 0 {
 			return
 		}
-	}
-}
-
-// RunLanes is the convenience lane entry point: it builds a throwaway
-// exogenous plan, runs the lane prologue, and invokes the lane kernel over
-// all candidates, chunking params into expr.Lanes-wide batches. Hot paths
-// cache the plan and call PrologueLanes+KernelLanes directly instead.
-func (s *SegSystem) RunLanes(forcing [][]float64, params [][]float64, cfg SimConfig, sc *SimScratch, hook LaneHook) {
-	plan := s.BuildExogPlan(forcing)
-	for base := 0; base < len(params); base += expr.Lanes {
-		end := base + expr.Lanes
-		if end > len(params) {
-			end = len(params)
-		}
-		chunk := params[base:end]
-		s.PrologueLanes(chunk, sc)
-		off := base
-		s.KernelLanes(plan, cfg, sc, len(chunk), func(m, t int, bphy float64) bool {
-			return hook(off+m, t, bphy)
-		})
 	}
 }

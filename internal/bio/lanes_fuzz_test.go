@@ -128,9 +128,9 @@ func FuzzLaneKernelVsScalar(f *testing.F) {
 
 		got := make([]stepTrace, n)
 		var scLanes SimScratch
-		seg.RunLanes(forcing, params, cfg, &scLanes, func(m, day int, bphy float64) bool {
+		seg.KernelLanes(plan, cfg, &scLanes, params, func(m, day int, bphy float64) bool {
 			return got[m].hook(-1)(day, bphy)
-		})
+		}, nil)
 		for m := range params {
 			if !sameTrace(&want[m], &got[m]) {
 				t.Fatalf("member %d/%d of (%q, %q): lane trace diverges from scalar\nscalar days %v vals %v\nlane   days %v vals %v",

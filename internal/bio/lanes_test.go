@@ -2,7 +2,9 @@ package bio
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"gmr/internal/expr"
 )
@@ -66,10 +68,9 @@ func TestKernelLanesMatchesScalarKernel(t *testing.T) {
 			// Lane run: all members in one batch.
 			got := make([]stepTrace, n)
 			var scLanes SimScratch
-			seg.PrologueLanes(params, &scLanes)
-			seg.KernelLanes(plan, cfg, &scLanes, n, func(m, day int, bphy float64) bool {
+			seg.KernelLanes(plan, cfg, &scLanes, params, func(m, day int, bphy float64) bool {
 				return got[m].hook(stopAt[m])(day, bphy)
-			})
+			}, nil)
 
 			for m := range params {
 				if !sameTrace(&want[m], &got[m]) {
@@ -81,9 +82,11 @@ func TestKernelLanesMatchesScalarKernel(t *testing.T) {
 	}
 }
 
-// TestRunLanesChunksWideBatches checks the convenience entry point against
-// scalar runs for batches wider than the lane count (forcing chunking and
-// member-index offsetting).
+// TestRunLanesChunksWideBatches checks KernelLanes over member lists of
+// every shape — one partial launch, one full launch, and several launches
+// with a ragged tail — against scalar runs: onLaunch sees ⌈n/Lanes⌉
+// launches of Lanes members followed by the remainder, and hook member
+// indices are global indices into params.
 func TestRunLanesChunksWideBatches(t *testing.T) {
 	consts := DefaultConstants()
 	paramIdx := ParamIndex(consts)
@@ -94,29 +97,46 @@ func TestRunLanesChunksWideBatches(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(11))
 	forcing := randForcing(rng, 50)
-	cfg := SimConfig{SubSteps: 4, Phy0: 1, Zoo0: 0.5}
-	const n = 2*expr.Lanes + 3
-	params := make([][]float64, n)
-	for m := range params {
-		params[m] = randBoxParams(rng, consts)
-	}
-
-	want := make([]stepTrace, n)
-	var sc SimScratch
 	plan := seg.BuildExogPlan(forcing)
-	for m := range params {
-		seg.Prologue(params[m], &sc)
-		seg.Kernel(plan, cfg, &sc, want[m].hook(-1))
-	}
+	cfg := SimConfig{SubSteps: 4, Phy0: 1, Zoo0: 0.5}
+	for _, n := range []int{1, expr.Lanes, expr.Lanes + 1, 2*expr.Lanes + 4} {
+		params := make([][]float64, n)
+		for m := range params {
+			params[m] = randBoxParams(rng, consts)
+		}
 
-	got := make([]stepTrace, n)
-	var scLanes SimScratch
-	seg.RunLanes(forcing, params, cfg, &scLanes, func(m, day int, bphy float64) bool {
-		return got[m].hook(-1)(day, bphy)
-	})
-	for m := range params {
-		if !sameTrace(&want[m], &got[m]) {
-			t.Fatalf("member %d: RunLanes trace diverges from scalar", m)
+		want := make([]stepTrace, n)
+		var sc SimScratch
+		for m := range params {
+			seg.Prologue(params[m], &sc)
+			seg.Kernel(plan, cfg, &sc, want[m].hook(-1))
+		}
+
+		got := make([]stepTrace, n)
+		var sizes []int
+		var scLanes SimScratch
+		seg.KernelLanes(plan, cfg, &scLanes, params, func(m, day int, bphy float64) bool {
+			if m < 0 || m >= n {
+				t.Fatalf("n=%d: hook member %d is not an index into params", n, m)
+			}
+			return got[m].hook(-1)(day, bphy)
+		}, func(k int, start time.Time, d time.Duration) {
+			if start.IsZero() || d < 0 {
+				t.Fatalf("n=%d: launch observed with start %v, duration %v", n, start, d)
+			}
+			sizes = append(sizes, k)
+		})
+		var wantSizes []int
+		for left := n; left > 0; left -= expr.Lanes {
+			wantSizes = append(wantSizes, min(left, expr.Lanes))
+		}
+		if !slices.Equal(sizes, wantSizes) {
+			t.Fatalf("n=%d: launch sizes %v, want %v", n, sizes, wantSizes)
+		}
+		for m := range params {
+			if !sameTrace(&want[m], &got[m]) {
+				t.Fatalf("n=%d member %d: lane trace diverges from scalar", n, m)
+			}
 		}
 	}
 }
@@ -156,10 +176,9 @@ func TestKernelLanesCompactionStress(t *testing.T) {
 
 		got := make([]stepTrace, n)
 		var scLanes SimScratch
-		seg.PrologueLanes(params, &scLanes)
-		seg.KernelLanes(plan, cfg, &scLanes, n, func(m, day int, bphy float64) bool {
+		seg.KernelLanes(plan, cfg, &scLanes, params, func(m, day int, bphy float64) bool {
 			return got[m].hook(stopAt[m])(day, bphy)
-		})
+		}, nil)
 		for m := range params {
 			if !sameTrace(&want[m], &got[m]) {
 				t.Fatalf("trial %d member %d: compacted lane trace diverges\nscalar days %v\nlane   days %v",
@@ -170,7 +189,7 @@ func TestKernelLanesCompactionStress(t *testing.T) {
 }
 
 // TestKernelLanesAllocFree: steady-state lane batches with a reused scratch
-// must not allocate.
+// and a launch observer must not allocate.
 func TestKernelLanesAllocFree(t *testing.T) {
 	consts := DefaultConstants()
 	paramIdx := ParamIndex(consts)
@@ -189,14 +208,17 @@ func TestKernelLanesAllocFree(t *testing.T) {
 	}
 	var sc SimScratch
 	hook := func(m, day int, bphy float64) bool { return true }
+	launches := 0
+	onLaunch := func(int, time.Time, time.Duration) { launches++ }
 	// Warm the scratch buffers once.
-	seg.PrologueLanes(params, &sc)
-	seg.KernelLanes(plan, cfg, &sc, len(params), hook)
+	seg.KernelLanes(plan, cfg, &sc, params, hook, onLaunch)
 	allocs := testing.AllocsPerRun(10, func() {
-		seg.PrologueLanes(params, &sc)
-		seg.KernelLanes(plan, cfg, &sc, len(params), hook)
+		seg.KernelLanes(plan, cfg, &sc, params, hook, onLaunch)
 	})
 	if allocs != 0 {
 		t.Fatalf("lane batch allocates %.1f times per run; want 0", allocs)
+	}
+	if launches == 0 {
+		t.Fatal("onLaunch never fired")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"gmr/internal/bio"
-	"gmr/internal/expr"
 	"gmr/internal/metrics"
 )
 
@@ -69,35 +68,33 @@ func StructureBatchObjective(sys *bio.SegSystem, forcing [][]float64, obs []floa
 	return planBatchObjective(sys, sys.BuildExogPlan(forcing), obs, sim)
 }
 
-// planBatchObjective scores populations of sys over a prebuilt plan.
+// planBatchObjective scores populations of sys over a prebuilt plan. The
+// per-member prediction buffers grow to the largest population seen and
+// are reused afterwards.
 func planBatchObjective(sys *bio.SegSystem, plan *bio.ExogPlan, obs []float64, sim bio.SimConfig) BatchObjective {
 	var sc bio.SimScratch
-	var preds [expr.Lanes][]float64
+	var preds [][]float64
+	hook := func(m, t int, bphy float64) bool {
+		// The scalar kernel records NaN for the day a member's state goes
+		// non-finite and stops; mirror that here so RMSE sees the same
+		// truncated series.
+		if math.IsNaN(bphy) || math.IsInf(bphy, 0) {
+			preds[m] = append(preds[m], math.NaN())
+			return false
+		}
+		preds[m] = append(preds[m], bphy)
+		return true
+	}
 	return func(params [][]float64, out []float64) []float64 {
-		for base := 0; base < len(params); base += expr.Lanes {
-			end := base + expr.Lanes
-			if end > len(params) {
-				end = len(params)
-			}
-			chunk := params[base:end]
-			for i := range chunk {
-				preds[i] = preds[i][:0]
-			}
-			sys.PrologueLanes(chunk, &sc)
-			sys.KernelLanes(plan, sim, &sc, len(chunk), func(m, t int, bphy float64) bool {
-				// The scalar kernel records NaN for the day a member's
-				// state goes non-finite and stops; mirror that here so
-				// RMSE sees the same truncated series.
-				if math.IsNaN(bphy) || math.IsInf(bphy, 0) {
-					preds[m] = append(preds[m], math.NaN())
-					return false
-				}
-				preds[m] = append(preds[m], bphy)
-				return true
-			})
-			for i := range chunk {
-				out = append(out, metrics.RMSE(preds[i], obs))
-			}
+		for len(preds) < len(params) {
+			preds = append(preds, nil)
+		}
+		for i := range params {
+			preds[i] = preds[i][:0]
+		}
+		sys.KernelLanes(plan, sim, &sc, params, hook, nil)
+		for i := range params {
+			out = append(out, metrics.RMSE(preds[i], obs))
 		}
 		return out
 	}

@@ -4,9 +4,9 @@
 //
 // The execution path is the 8-lane SoA kernel (DESIGN.md §11): ensemble
 // members are exactly the kernel's per-lane PARAM dimension, so M members
-// cost ⌈M/expr.Lanes⌉ kernel launches over one shared exogenous plan —
-// the same batching serve uses across concurrent requests, applied within
-// a single request. Member order is deterministic (input order), lane
+// cost ⌈M/expr.Lanes⌉ kernel launches over one shared exogenous plan. Serve
+// runs both of its cohort kinds through Run: a point cohort is the
+// ensemble of its concurrent requests' parameter vectors. Member order is deterministic (input order), lane
 // arithmetic is elementwise, and compaction never perturbs surviving
 // lanes, so a fixed (structure, plan, members) triple reduces to bitwise
 // identical bands regardless of chunking or concurrency around it.
@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"gmr/internal/bio"
-	"gmr/internal/expr"
 )
 
 // MemberFault records one quarantined ensemble member: its index in the
@@ -35,77 +34,40 @@ type MemberFault struct {
 	Day    int    `json:"day"`
 }
 
-// RunResult holds the raw member trajectories of one ensemble run plus the
-// lane-occupancy accounting the serving benchmarks report.
+// RunResult holds the raw member trajectories of one ensemble run.
 type RunResult struct {
 	// Preds[i] is member i's per-day biomass; quarantined members hold the
 	// finite prefix up to the day they died.
 	Preds [][]float64
 	// Faults lists quarantined members in member order.
 	Faults []MemberFault
-	// Batches counts lane-kernel launches; Members is the total member
-	// count across them (MeanLaneFill = Members / (Batches·expr.Lanes)).
-	Batches int
-	Members int
 }
-
-// MeanLaneFill is the fraction of lane slots that carried a real member
-// across the run's kernel launches — 1.0 when the member count is a
-// multiple of expr.Lanes.
-func (r *RunResult) MeanLaneFill() float64 {
-	if r.Batches == 0 {
-		return 0
-	}
-	return float64(r.Members) / float64(r.Batches*expr.Lanes)
-}
-
-// BatchFunc observes one kernel launch: the number of members in the
-// chunk and the launch's wall time. Used by serve to feed its kernel
-// latency histogram; nil disables.
-type BatchFunc func(members int, dur time.Duration)
 
 // Run simulates every member through sys over the plan's window, lane-
 // batched in chunks of expr.Lanes in input order. days must match the
 // plan's day count; sc is the reusable kernel scratch (pass a fresh one
-// for concurrent runs). The result is bitwise deterministic for fixed
-// (sys, plan, sim, members).
-func Run(sys *bio.SegSystem, plan *bio.ExogPlan, sim bio.SimConfig, members [][]float64, days int, sc *bio.SimScratch, onBatch BatchFunc) *RunResult {
-	res := &RunResult{
-		Preds:   make([][]float64, len(members)),
-		Members: len(members),
-	}
+// for concurrent runs); onLaunch, when non-nil, observes each kernel
+// launch (see bio.SegSystem.KernelLanes). The result is bitwise
+// deterministic for fixed (sys, plan, sim, members).
+func Run(sys *bio.SegSystem, plan *bio.ExogPlan, sim bio.SimConfig, members [][]float64, days int, sc *bio.SimScratch, onLaunch func(n int, start time.Time, d time.Duration)) *RunResult {
+	res := &RunResult{Preds: make([][]float64, len(members))}
 	for i := range res.Preds {
 		res.Preds[i] = make([]float64, 0, days)
 	}
-	for base := 0; base < len(members); base += expr.Lanes {
-		end := base + expr.Lanes
-		if end > len(members) {
-			end = len(members)
-		}
-		chunk := members[base:end]
-		t0 := time.Now()
-		sys.PrologueLanes(chunk, sc)
-		off := base
-		sys.KernelLanes(plan, sim, sc, len(chunk), func(m, t int, bphy float64) bool {
-			m += off
-			if math.IsNaN(bphy) || math.IsInf(bphy, 0) {
-				reason := "inf"
-				if math.IsNaN(bphy) {
-					reason = "nan"
-				}
-				res.Faults = append(res.Faults, MemberFault{Member: m, Reason: reason, Day: t})
-				return false
+	sys.KernelLanes(plan, sim, sc, members, func(m, t int, bphy float64) bool {
+		if math.IsNaN(bphy) || math.IsInf(bphy, 0) {
+			reason := "inf"
+			if math.IsNaN(bphy) {
+				reason = "nan"
 			}
-			res.Preds[m] = append(res.Preds[m], bphy)
-			return true
-		})
-		res.Batches++
-		if onBatch != nil {
-			onBatch(len(chunk), time.Since(t0))
+			res.Faults = append(res.Faults, MemberFault{Member: m, Reason: reason, Day: t})
+			return false
 		}
-	}
+		res.Preds[m] = append(res.Preds[m], bphy)
+		return true
+	}, onLaunch)
 	// Lane compaction interleaves fault callbacks across members within a
-	// chunk; report them in member order so the result is order-canonical.
+	// launch; report them in member order so the result is order-canonical.
 	sort.Slice(res.Faults, func(i, j int) bool { return res.Faults[i].Member < res.Faults[j].Member })
 	return res
 }
@@ -184,7 +146,7 @@ func Reduce(r *RunResult, days int, quantiles []float64) (*Reduction, error) {
 }
 
 // Simulate is Run followed by Reduce: the one-call form for callers that
-// don't need per-batch timing or raw trajectories.
+// don't need per-launch timing or raw trajectories.
 func Simulate(sys *bio.SegSystem, plan *bio.ExogPlan, sim bio.SimConfig, members [][]float64, days int, quantiles []float64, sc *bio.SimScratch) (*Reduction, []MemberFault, error) {
 	run := Run(sys, plan, sim, members, days, sc, nil)
 	red, err := Reduce(run, days, quantiles)

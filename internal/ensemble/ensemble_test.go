@@ -4,10 +4,10 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"gmr/internal/bio"
 	"gmr/internal/dataset"
-	"gmr/internal/expr"
 )
 
 // fixture compiles the manual process over a synthetic window and returns
@@ -55,13 +55,13 @@ func TestRunMatchesSingleMember(t *testing.T) {
 	members := jittered(consts, 20, 11)
 
 	var sc bio.SimScratch
-	batch := Run(sys, plan, sim, members, days, &sc, nil)
-	if batch.Batches != 3 || batch.Members != 20 {
-		t.Fatalf("batches=%d members=%d, want 3/20", batch.Batches, batch.Members)
-	}
-	wantFill := 20.0 / 24.0
-	if math.Abs(batch.MeanLaneFill()-wantFill) > 1e-12 {
-		t.Fatalf("lane fill %v, want %v", batch.MeanLaneFill(), wantFill)
+	launches, filled := 0, 0
+	batch := Run(sys, plan, sim, members, days, &sc, func(n int, _ time.Time, _ time.Duration) {
+		launches++
+		filled += n
+	})
+	if launches != 3 || filled != 20 {
+		t.Fatalf("launches=%d members=%d, want 3/20", launches, filled)
 	}
 	for i, m := range members {
 		var sc1 bio.SimScratch
@@ -200,15 +200,5 @@ func TestReduceRejectsBadInput(t *testing.T) {
 	empty := &RunResult{Preds: [][]float64{{}}}
 	if _, err := Reduce(empty, 1, []float64{0.5}); err == nil {
 		t.Fatal("accepted a fully quarantined ensemble")
-	}
-}
-
-func TestMeanLaneFillFull(t *testing.T) {
-	r := &RunResult{Batches: 8, Members: 8 * expr.Lanes}
-	if r.MeanLaneFill() != 1.0 {
-		t.Fatalf("fill %v", r.MeanLaneFill())
-	}
-	if (&RunResult{}).MeanLaneFill() != 0 {
-		t.Fatal("zero-batch fill")
 	}
 }

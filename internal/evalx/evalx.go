@@ -112,16 +112,18 @@ type Options struct {
 	EvalDeadline time.Duration
 	// ProfileLabels enables per-phase pprof labels (eval_phase =
 	// exog-plan / prologue / step-kernel) on the evaluation hot path, the
-	// same toggle as Evaluator.SetProfileLabels. Enable only for
-	// profiling runs: each labeled region allocates a pprof label set,
-	// which forfeits the zero-allocation contract of the steady-state
+	// same toggle as Evaluator.SetProfileLabels. The scalar path labels
+	// its prologue separately; a lane launch runs its per-lane prologue
+	// inside the one step-kernel region of its KernelLanes call. Enable
+	// only for profiling runs: each labeled region allocates a pprof label
+	// set, which forfeits the zero-allocation contract of the steady-state
 	// paths (riverbench flips this on together with -cpuprofile/-pprof).
 	ProfileLabels bool
 	// Tracer records evaluation-phase spans (evalx.exog_plan,
-	// evalx.prologue, evalx.step_kernel) at the same seams as the pprof
-	// labels. A nil tracer is the zero-cost disabled path (no clock
-	// reads, no allocations); an enabled tracer samples and ring-buffers
-	// spans (see internal/obs).
+	// evalx.simulate, evalx.lane_batch) at the same seams as the pprof
+	// labels. A nil tracer is the zero-cost disabled path (no
+	// allocations); an enabled tracer samples and ring-buffers spans (see
+	// internal/obs).
 	Tracer *obs.Tracer
 }
 

@@ -4,8 +4,8 @@ import (
 	"context"
 	"math"
 	"runtime/pprof"
+	"time"
 
-	"gmr/internal/expr"
 	"gmr/internal/faultinject"
 )
 
@@ -210,32 +210,27 @@ func (e *Evaluator) laneMember(ent *structEntry, idx int, params []float64, site
 }
 
 // scoreLanes scores pending members of one structure through
-// bio.KernelLanes in expr.Lanes-wide chunks, one instruction dispatch per
-// chunk, then finishes each member in order. A member that short-circuits
-// or aborts drops out of its chunk mid-flight (lane compaction), so
-// UseShortCircuit saves real work inside batches. It returns the number of
-// launches.
+// bio.KernelLanes, expr.Lanes members per launch, then finishes each member
+// in order. A member that short-circuits or aborts drops out of its launch
+// mid-flight (lane compaction), so UseShortCircuit saves real work inside
+// batches. It returns the number of launches.
 func (e *Evaluator) scoreLanes(ent *structEntry, pending []member, sc *evalScratch) int {
 	s := e.newScoring()
-	var chunk []member
-	hook := func(m, t int, bphy float64) bool { return chunk[m].step(&s, t, bphy) }
-	dropsBefore := sc.sim.LaneDrops
-	launches := 0
-	for start := 0; start < len(pending); start += expr.Lanes {
-		chunk = pending[start:min(start+expr.Lanes, len(pending))]
-		ps := sc.laneParams[:0]
-		for i := range chunk {
-			ps = append(ps, chunk[i].params)
-		}
-		sc.laneParams = ps
-		e.ctr[cLaneBatches].Add(1)
-		e.ctr[cLanesFilled].Add(int64(len(chunk)))
-		span := e.tracer.Start("evalx.lane_batch")
-		e.labeled("prologue", func() { ent.seg.PrologueLanes(ps, &sc.sim) })
-		e.labeled("step-kernel", func() { ent.seg.KernelLanes(ent.plan, e.opts.Sim, &sc.sim, len(chunk), hook) })
-		span.End()
-		launches++
+	ps := sc.laneParams[:0]
+	for i := range pending {
+		ps = append(ps, pending[i].params)
 	}
+	sc.laneParams = ps
+	hook := func(m, t int, bphy float64) bool { return pending[m].step(&s, t, bphy) }
+	launches := 0
+	onLaunch := func(n int, start time.Time, d time.Duration) {
+		launches++
+		e.ctr[cLaneBatches].Add(1)
+		e.ctr[cLanesFilled].Add(int64(n))
+		e.tracer.Observe("evalx.lane_batch", start, d)
+	}
+	dropsBefore := sc.sim.LaneDrops
+	e.labeled("step-kernel", func() { ent.seg.KernelLanes(ent.plan, e.opts.Sim, &sc.sim, ps, hook, onLaunch) })
 	e.ctr[cLaneCompactions].Add(int64(sc.sim.LaneDrops - dropsBefore))
 	for i := range pending {
 		m := &pending[i]

@@ -64,16 +64,6 @@ type Config struct {
 	// (model calibration inside model revision). Zero means
 	// 4×LocalSearchSteps; negative disables refinement.
 	EliteRefineSteps int
-	// RefineBatch is λ of the batched (1+λ) champion-refinement strategy:
-	// when the evaluator implements BatchEvaluator, each refinement round
-	// draws λ Gaussian proposals from the current champion and scores the
-	// parameter-only ones through EvaluateParamBatch in fixed-size chunks
-	// fanned across the worker pool, amortizing structure resolution and
-	// exogenous hoisting over the sweep (DESIGN.md §10). Zero means 8;
-	// 1 (or a plain Evaluator) reproduces the sequential hill-climbing
-	// chain. The chunk partition is worker-count independent, so results
-	// are deterministic for a fixed Config.
-	RefineBatch int
 	// Priors are the per-parameter Gaussian-mutation priors, aligned
 	// with Individual.Params.
 	Priors []Prior
@@ -157,12 +147,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EliteRefineSteps < 0 {
 		c.EliteRefineSteps = 0
-	}
-	if c.RefineBatch == 0 {
-		c.RefineBatch = 8
-	}
-	if c.RefineBatch < 1 {
-		c.RefineBatch = 1
 	}
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -742,16 +726,16 @@ func (e *Engine) better(a, b *Individual) bool {
 // refineElite hill-climbs the constants of the generation's champion with
 // annealed Gaussian steps, adopting only improvements.
 //
-// With a BatchEvaluator and RefineBatch > 1 it runs as a batched (1+λ)
-// evolution strategy: each round draws λ proposals from the current
-// champion under the same annealing schedule (scales indexed by global
-// proposal number), scores the parameter-only proposals through
-// EvaluateParamBatch in fixed-size chunks fanned across the worker pool
-// (amortizing structure resolution and exogenous hoisting over the sweep,
-// DESIGN.md §10), evaluates structural proposals (literal perturbations)
-// individually, and adopts the best improving proposal — the lowest index
-// on ties, matching in-order sequential adoption. RefineBatch=1 or a plain
-// Evaluator reproduces the sequential hill-climbing chain.
+// With a BatchEvaluator it runs as a batched (1+λ) evolution strategy with
+// λ = laneChunk: each round draws λ proposals from the current champion
+// under the same annealing schedule (scales indexed by global proposal
+// number), scores the parameter-only proposals through EvaluateParamBatch
+// in fixed-size chunks fanned across the worker pool (amortizing structure
+// resolution and exogenous hoisting over the sweep, DESIGN.md §10),
+// evaluates structural proposals (literal perturbations) individually, and
+// adopts the best improving proposal — the lowest index on ties, matching
+// in-order sequential adoption. A plain Evaluator runs the sequential
+// hill-climbing chain.
 func (e *Engine) refineElite(ind *Individual, sigma float64) {
 	steps := e.cfg.EliteRefineSteps
 	if steps <= 0 {
@@ -760,7 +744,7 @@ func (e *Engine) refineElite(ind *Individual, sigma float64) {
 	e.eval.BeginBatch()
 	defer e.eval.EndBatch()
 	be, batched := e.eval.(BatchEvaluator)
-	if lam := e.cfg.RefineBatch; !batched || lam <= 1 {
+	if !batched {
 		for step := 0; step < steps; step++ {
 			scale := sigma * (0.5 - 0.4*float64(step)/float64(steps))
 			cand := GaussianMutation(e.rng.Rand, ind, e.cfg.Priors, scale, e.cfg.GaussPerParam)
@@ -772,12 +756,9 @@ func (e *Engine) refineElite(ind *Individual, sigma float64) {
 		}
 		return
 	}
-	cands := make([]*Individual, 0, e.cfg.RefineBatch)
+	cands := make([]*Individual, 0, laneChunk)
 	for done := 0; done < steps; done += len(cands) {
-		n := e.cfg.RefineBatch
-		if steps-done < n {
-			n = steps - done
-		}
+		n := min(laneChunk, steps-done)
 		cands = cands[:0]
 		for i := 0; i < n; i++ {
 			scale := sigma * (0.5 - 0.4*float64(done+i)/float64(steps))
@@ -793,14 +774,14 @@ func (e *Engine) refineElite(ind *Individual, sigma float64) {
 	}
 }
 
-// laneChunk is the fan-out granularity of batched evaluation: both champion
-// refinement and the clustered population scheduler split same-structure
-// member lists into chunks of this size, each dispatched to the worker pool
-// as one job. The size matches expr.Lanes so each chunk fills one
-// lane-batched kernel dispatch, and it is a constant (never derived from
-// Workers), so the work partition — and therefore every evaluated fitness —
-// is identical for any worker count, preserving the Workers=1-vs-N
-// determinism contract.
+// laneChunk is the fan-out granularity of batched evaluation: champion
+// refinement draws this many proposals per round, and both refinement and
+// the clustered population scheduler split same-structure member lists
+// into chunks of this size, each dispatched to the worker pool as one job.
+// The size matches expr.Lanes so each chunk fills one lane-batched kernel
+// dispatch, and it is a constant (never derived from Workers), so the work
+// partition — and therefore every evaluated fitness — is identical for any
+// worker count, preserving the Workers=1-vs-N determinism contract.
 const laneChunk = 8
 
 // evaluateProposals scores one round of refinement proposals. Proposals

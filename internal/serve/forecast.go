@@ -11,7 +11,6 @@ import (
 	"gmr/internal/bio"
 	"gmr/internal/dataset"
 	"gmr/internal/ensemble"
-	"gmr/internal/expr"
 	"gmr/internal/serve/api"
 )
 
@@ -311,78 +310,53 @@ func (s *Server) planFor(spec *execSpec) *bio.ExogPlan {
 	})
 }
 
-// execCohort runs one dispatched cohort through the lane kernel: one
-// prologue + one KernelLanes launch scores every member (all members share
-// the model, window, and plan by cohort-key construction; only parameter
-// vectors differ per lane). Per-member results are bitwise identical to a
-// single-lane run of the same request — lane arithmetic is elementwise and
-// compaction never perturbs surviving lanes (DESIGN.md §11) — which is
-// what makes the batch window invisible to clients beyond latency.
+// execCohort runs one dispatched cohort through the lane kernel: the
+// members' parameter vectors run as one ensemble over the cohort's shared
+// plan (all members share the model, window, and plan by cohort-key
+// construction; only parameter vectors differ per lane). Per-member
+// results are bitwise identical to a single-lane run of the same request —
+// lane arithmetic is elementwise and compaction never perturbs surviving
+// lanes (DESIGN.md §11) — which is what makes the batch window invisible
+// to clients beyond latency.
 func (s *Server) execCohort(members []*pendingReq) {
 	spec := members[0].spec
 	if spec.ens != nil {
 		s.execEnsembleCohort(members)
 		return
 	}
-	n := len(members)
-	plan := s.planFor(spec)
-
-	params := make([][]float64, n)
-	preds := make([][]float64, n)
-	type quar struct {
-		hit    bool
-		reason string
-		died   int
-	}
-	quars := make([]quar, n)
+	params := make([][]float64, len(members))
 	for i, m := range members {
 		params[i] = m.spec.params
-		preds[i] = make([]float64, 0, spec.key.days)
 	}
-	hook := func(m, t int, bphy float64) bool {
-		if math.IsNaN(bphy) || math.IsInf(bphy, 0) {
-			reason := "inf"
-			if math.IsNaN(bphy) {
-				reason = "nan"
-			}
-			quars[m] = quar{hit: true, reason: reason, died: t}
-			return false
+	run := s.runLanes(spec, params)
+	faults := run.Faults // member order, at most one per member
+	for i, m := range members {
+		res := execResult{preds: run.Preds[i]}
+		if len(faults) > 0 && faults[0].Member == i {
+			res.quarantined, res.reason, res.died = true, faults[0].Reason, faults[0].Day
+			faults = faults[1:]
 		}
-		preds[m] = append(preds[m], bphy)
-		return true
+		m.respond(res)
 	}
+}
 
+// runLanes simulates a cohort's lane members over its plan through
+// ensemble.Run on a pooled scratch, feeding every kernel launch and the
+// cohort's lane compactions to the serving metrics.
+func (s *Server) runLanes(spec *execSpec, members [][]float64) *ensemble.RunResult {
+	plan := s.planFor(spec)
 	sc := s.scratch.Get().(*bio.SimScratch)
 	dropsBefore := sc.LaneDrops
-	for base := 0; base < n; base += expr.Lanes {
-		end := base + expr.Lanes
-		if end > n {
-			end = n
-		}
-		chunk := params[base:end]
-		t0 := time.Now()
-		spec.model.seg.PrologueLanes(chunk, sc)
-		off := base
-		spec.model.seg.KernelLanes(plan, spec.sim, sc, len(chunk), func(m, t int, bphy float64) bool {
-			return hook(off+m, t, bphy)
+	run := ensemble.Run(spec.model.seg, plan, spec.sim, members, spec.key.days, sc,
+		func(n int, start time.Time, d time.Duration) {
+			s.m.kernel.Observe(d.Seconds())
+			s.tracer.Observe("serve.kernel", start, d)
+			s.m.laneBatches.Inc()
+			s.m.laneMembers.Add(int64(n))
 		})
-		d := time.Since(t0)
-		s.m.kernel.Observe(d.Seconds())
-		s.tracer.Observe("serve.kernel", t0, d)
-		s.m.laneBatches.Inc()
-		s.m.laneMembers.Add(int64(len(chunk)))
-	}
 	s.m.laneCompactions.Add(int64(sc.LaneDrops - dropsBefore))
 	s.scratch.Put(sc)
-
-	for i, m := range members {
-		m.respond(execResult{
-			preds:       preds[i],
-			quarantined: quars[i].hit,
-			reason:      quars[i].reason,
-			died:        quars[i].died,
-		})
-	}
+	return run
 }
 
 // execEnsembleCohort runs one ensemble cohort: the lane dimension carries
@@ -394,19 +368,7 @@ func (s *Server) execCohort(members []*pendingReq) {
 // carrying the first (lowest-member) fault's reason and day.
 func (s *Server) execEnsembleCohort(members []*pendingReq) {
 	spec := members[0].spec
-	plan := s.planFor(spec)
-
-	sc := s.scratch.Get().(*bio.SimScratch)
-	dropsBefore := sc.LaneDrops
-	run := ensemble.Run(spec.model.seg, plan, spec.sim, spec.ens.members, spec.key.days, sc,
-		func(n int, d time.Duration) {
-			s.m.kernel.Observe(d.Seconds())
-			s.tracer.Observe("serve.kernel", time.Now().Add(-d), d)
-			s.m.laneBatches.Inc()
-			s.m.laneMembers.Add(int64(n))
-		})
-	s.m.laneCompactions.Add(int64(sc.LaneDrops - dropsBefore))
-	s.scratch.Put(sc)
+	run := s.runLanes(spec, spec.ens.members)
 	s.m.ensembleSize.Observe(float64(len(spec.ens.members)))
 	s.m.memberQuarantines.Add(int64(len(run.Faults)))
 

@@ -164,55 +164,14 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(body)
 }
 
-// modelInfo is the /v1/models wire form of a registry entry.
-type modelInfo struct {
-	ID          string  `json:"id"`
-	File        string  `json:"file"`
-	Version     string  `json:"version"`
-	Source      string  `json:"source,omitempty"`
-	Status      string  `json:"status"`
-	Reason      string  `json:"reason,omitempty"`
-	Detail      string  `json:"detail,omitempty"`
-	Name        string  `json:"name,omitempty"`
-	SavedAt     string  `json:"saved_at,omitempty"`
-	TrainRMSE   float64 `json:"train_rmse,omitempty"`
-	TestRMSE    float64 `json:"test_rmse,omitempty"`
-	ServingRMSE float64 `json:"serving_rmse,omitempty"`
-	PhyExpr     string  `json:"phy_expr,omitempty"`
-	ZooExpr     string  `json:"zoo_expr,omitempty"`
-	Champion    bool    `json:"champion,omitempty"`
-}
-
-type modelsBody struct {
-	CatalogVersion int         `json:"catalog_version"`
-	LoadedAt       string      `json:"loaded_at"`
-	Champion       string      `json:"champion,omitempty"`
-	Models         []modelInfo `json:"models"`
-}
-
-func (s *Server) modelsBody() modelsBody {
-	cat := s.reg.Catalog()
-	out := modelsBody{
-		CatalogVersion: cat.version,
-		LoadedAt:       cat.loadedAt.Format(time.RFC3339),
-		Champion:       cat.champion,
-		Models:         make([]modelInfo, 0, len(cat.order)),
+// modelsBodyV1 is the /v1 catalog listing: the /v2 listing without the
+// posterior sample counts, which omitempty then leaves out.
+func (s *Server) modelsBodyV1() api.ModelsResponse {
+	body := s.modelsBodyV2()
+	for i := range body.Models {
+		body.Models[i].PosteriorSamples = 0
 	}
-	for _, id := range cat.order {
-		m := cat.models[id]
-		info := modelInfo{
-			ID: m.ID, File: m.File, Version: m.Version, Source: m.Source,
-			Status: string(m.Status), Reason: m.Reason, Detail: m.Detail,
-			Name: m.Name, TrainRMSE: m.TrainRMSE, TestRMSE: m.TestRMSE,
-			ServingRMSE: m.ServingRMSE, PhyExpr: m.PhyExpr, ZooExpr: m.ZooExpr,
-			Champion: id == cat.champion,
-		}
-		if !m.SavedAt.IsZero() {
-			info.SavedAt = m.SavedAt.Format(time.RFC3339)
-		}
-		out.Models = append(out.Models, info)
-	}
-	return out
+	return body
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
@@ -220,7 +179,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, "bad_request", fmt.Errorf("GET only"))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.modelsBody())
+	writeJSON(w, http.StatusOK, s.modelsBodyV1())
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
@@ -232,7 +191,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, "internal", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.modelsBody())
+	writeJSON(w, http.StatusOK, s.modelsBodyV1())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

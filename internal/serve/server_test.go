@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"gmr/internal/gp"
+	"gmr/internal/serve/api"
 )
 
 func postForecast(t *testing.T, url string, req any) (*http.Response, []byte) {
@@ -58,7 +59,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var models modelsBody
+	var models api.ModelsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&models); err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	if models.Champion != "champion" {
 		t.Fatalf("champion %q", models.Champion)
 	}
-	byID := map[string]modelInfo{}
+	byID := map[string]api.ModelInfo{}
 	for _, m := range models.Models {
 		byID[m.ID] = m
 	}
@@ -153,7 +154,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var after modelsBody
+	var after api.ModelsResponse
 	if err := json.NewDecoder(rr.Body).Decode(&after); err != nil {
 		t.Fatal(err)
 	}
