@@ -9,6 +9,9 @@ package gmr
 //	dataset.golden  float bits of experiments.DefaultDataset(7)
 //	calib.golden    one small-budget calibration per calibrator
 //	islands.golden  a tiny 2-island core.RunIslands run per generation budget
+//	analysis.golden finalize's ranking and best-model metrics of one such
+//	                run, and its Fig 9 selectivity and parameter
+//	                sensitivity rows
 //	fitness.golden  a fixed population's fitness under three evaluator modes
 //	evalx.golden    param-batch and population-path fitness plus the
 //	                evaluator's JSON counter record, per evaluator mode
@@ -247,6 +250,56 @@ func TestGoldenIslands(t *testing.T) {
 		g.add(fmt.Sprintf("gens=%d/test_rmse", gens), "%016x", math.Float64bits(res.TestRMSE))
 	}
 	checkGolden(t, "islands.golden", g)
+}
+
+// TestGoldenAnalysis pins what finalize and the Fig 9 analyses derive
+// from the pooled models of the two-generation island run: the ranked
+// top models (canonical model and test RMSE bits, in order), the best
+// model's train and test metrics and test forecast, every variable
+// selectivity row over the first 200 training days, and every parameter
+// sensitivity row of the best model over the same window.
+func TestGoldenAnalysis(t *testing.T) {
+	ds := goldenDataset(t)
+	cfg := core.Config{
+		GP: gp.Config{
+			PopSize: 10, MaxGen: 2, LocalSearchSteps: 1,
+			Seed: 11, Workers: 1,
+		},
+		Eval:               evalx.AllSpeedups(dataset.ModelSimConfig(experiments.Small.SubSteps, 0, 0)),
+		TopK:               5,
+		PreCalibrateBudget: 40,
+	}
+	res, _, err := core.RunIslands(context.Background(), ds, cfg, core.IslandOptions{Islands: 2, MigrationEvery: 1, Migrants: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g goldenLines
+	for i, ind := range res.TopModels {
+		phy, zoo, err := evalx.ModelExprs(ind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.add(fmt.Sprintf("top%d", i), "%016x %s|%s", math.Float64bits(res.TopTestRMSE[i]), phy, zoo)
+	}
+	g.add("best/train", "rmse=%016x mae=%016x", math.Float64bits(res.TrainRMSE), math.Float64bits(res.TrainMAE))
+	g.add("best/test", "rmse=%016x mae=%016x pred=%s", math.Float64bits(res.TestRMSE), math.Float64bits(res.TestMAE), floatsDigest(res.TestPred))
+
+	window, sim := ds.TrainForcing()[:200], goldenSim(ds)
+	sel, err := core.AnalyzeSelectivity(res.TopModels, bio.DefaultConstants(), window, sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range sel {
+		g.add("selectivity/"+s.Variable, "%016x %s", math.Float64bits(s.Percent), s.Correlation)
+	}
+	sens, err := core.AnalyzeParamSensitivity(res.Best, bio.DefaultConstants(), window, sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range sens {
+		g.add("sensitivity/"+s.Name, "%016x", math.Float64bits(s.Relative))
+	}
+	checkGolden(t, "analysis.golden", g)
 }
 
 // goldenPopulation is the fixed population of TestGoldenFitness and
