@@ -270,15 +270,8 @@ func main() {
 		// (DESIGN.md §15). The retained states ship inside the bundle,
 		// digest-guarded, for gmrd's ensemble forecasts.
 		if *posterior > 0 {
-			phy, zoo, err := evalx.ModelExprs(res.Best)
-			if err != nil {
-				fatal(err)
-			}
 			consts := bio.DefaultConstants()
-			if err := grammar.BindSystem(phy, zoo, consts); err != nil {
-				fatal(err)
-			}
-			seg, err := bio.NewSegSystem(phy, zoo)
+			m, err := evalx.Compile(res.Best, consts)
 			if err != nil {
 				fatal(err)
 			}
@@ -291,7 +284,7 @@ func main() {
 			lo, hi := calib.Box(consts)
 			dr := calib.NewDREAM()
 			dr.Record = calib.NewPosteriorRecorder(*posterior, budget/2)
-			obj := calib.StructureBatchObjective(seg, ds.TrainForcing(), ds.TrainObsPhy(), sim)
+			obj := calib.StructureBatchObjective(m.SegSystem, ds.TrainForcing(), ds.TrainObsPhy(), sim)
 			dr.CalibrateBatch(obj, lo, hi, budget, rand.New(rand.NewSource(*seed)))
 			post := dr.Record.Posterior()
 			if post == nil || len(post.Samples) == 0 {

@@ -42,29 +42,6 @@ type benchEvalEntry struct {
 type benchEvalSnapshot struct {
 	GoVersion string           `json:"go_version"`
 	Entries   []benchEvalEntry `json:"entries,omitempty"`
-
-	// Legacy single-entry layout (pre-segmented-VM snapshots). Retained so
-	// -baseline can read baselines recorded before the multi-GOMAXPROCS
-	// format; new snapshots always use Entries.
-	GOMAXPROCS int               `json:"gomaxprocs,omitempty"`
-	Benchmarks []benchEvalResult `json:"benchmarks,omitempty"`
-	Cache      *evalx.Stats      `json:"cache,omitempty"`
-}
-
-// entries returns the snapshot's runs in the current format, upgrading the
-// legacy single-entry layout on the fly.
-func (s *benchEvalSnapshot) entries() []benchEvalEntry {
-	if len(s.Entries) > 0 {
-		return s.Entries
-	}
-	if len(s.Benchmarks) == 0 {
-		return nil
-	}
-	e := benchEvalEntry{GOMAXPROCS: s.GOMAXPROCS, Benchmarks: s.Benchmarks}
-	if s.Cache != nil {
-		e.Cache = *s.Cache
-	}
-	return []benchEvalEntry{e}
 }
 
 // benchRegressionLimit is the ns/op slack allowed against the baseline
@@ -478,13 +455,12 @@ func compareBenchBaseline(cur *benchEvalSnapshot, baselinePath string) error {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("baseline %s: %w", baselinePath, err)
 	}
-	baseEntries := base.entries()
-	if len(baseEntries) == 0 {
+	if len(base.Entries) == 0 {
 		return fmt.Errorf("baseline %s: no benchmark entries", baselinePath)
 	}
 
-	byProcs := make(map[int]map[string]benchEvalResult, len(baseEntries))
-	for _, e := range baseEntries {
+	byProcs := make(map[int]map[string]benchEvalResult, len(base.Entries))
+	for _, e := range base.Entries {
 		m := make(map[string]benchEvalResult, len(e.Benchmarks))
 		for _, b := range e.Benchmarks {
 			m[b.Name] = b
@@ -495,7 +471,7 @@ func compareBenchBaseline(cur *benchEvalSnapshot, baselinePath string) error {
 	var regressions []string
 	compared := 0
 	fmt.Printf("comparing against baseline %s (%s)\n", baselinePath, base.GoVersion)
-	for _, e := range cur.entries() {
+	for _, e := range cur.Entries {
 		bm, ok := byProcs[e.GOMAXPROCS]
 		if !ok {
 			fmt.Printf("  GOMAXPROCS=%d: no baseline entry, skipping\n", e.GOMAXPROCS)

@@ -7,11 +7,10 @@ import (
 	"testing"
 
 	"gmr/internal/dataset"
-	"gmr/internal/evalx"
 )
 
-// Tests for the BENCH_EVAL.json regression comparator: legacy-format
-// upgrade, the 15% ns/op limit, and the zero-tolerance allocation rule.
+// Tests for the BENCH_EVAL.json regression comparator: the 15% ns/op
+// limit and the zero-tolerance allocation rule.
 
 func writeBaseline(t *testing.T, v any) string {
 	t.Helper()
@@ -30,25 +29,6 @@ func snap(procs int, results ...benchEvalResult) *benchEvalSnapshot {
 	return &benchEvalSnapshot{
 		GoVersion: "go1.24.0",
 		Entries:   []benchEvalEntry{{GOMAXPROCS: procs, Benchmarks: results}},
-	}
-}
-
-func TestEntriesUpgradesLegacyLayout(t *testing.T) {
-	legacy := benchEvalSnapshot{
-		GoVersion:  "go1.24.0",
-		GOMAXPROCS: 1,
-		Benchmarks: []benchEvalResult{{Name: "evaluate_cold", NsPerOp: 100}},
-		Cache:      &evalx.Stats{Evaluations: 42},
-	}
-	es := legacy.entries()
-	if len(es) != 1 {
-		t.Fatalf("legacy snapshot upgraded to %d entries, want 1", len(es))
-	}
-	if es[0].GOMAXPROCS != 1 || len(es[0].Benchmarks) != 1 || es[0].Cache.Evaluations != 42 {
-		t.Fatalf("legacy upgrade dropped fields: %+v", es[0])
-	}
-	if (&benchEvalSnapshot{}).entries() != nil {
-		t.Fatal("empty snapshot should produce no entries")
 	}
 }
 
@@ -76,19 +56,6 @@ func TestCompareBenchBaselineAllocRegression(t *testing.T) {
 	cur := snap(1, benchEvalResult{Name: "evaluate_param_batch", NsPerOp: 900, AllocsPerOp: 1})
 	if err := compareBenchBaseline(cur, base); err == nil {
 		t.Fatal("a single extra alloc/op must fail, even when faster")
-	}
-}
-
-func TestCompareBenchBaselineLegacyFile(t *testing.T) {
-	// A legacy (pre-Entries) baseline must still be comparable.
-	base := writeBaseline(t, map[string]any{
-		"go_version": "go1.24.0",
-		"gomaxprocs": 1,
-		"benchmarks": []benchEvalResult{{Name: "evaluate_cold", NsPerOp: 1000, AllocsPerOp: 534}},
-	})
-	cur := snap(1, benchEvalResult{Name: "evaluate_cold", NsPerOp: 980, AllocsPerOp: 267})
-	if err := compareBenchBaseline(cur, base); err != nil {
-		t.Fatalf("legacy baseline comparison failed: %v", err)
 	}
 }
 

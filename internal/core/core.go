@@ -382,24 +382,25 @@ func finalize(ds *dataset.Dataset, cfg Config, evalOpts evalx.Options, pool []*g
 	simTest := evalOpts.Sim
 	simTest.Phy0 = ds.ObsPhy[ds.TrainEnd]
 	simTest.Zoo0 = ds.ObsZoo[ds.TrainEnd]
+	// Each candidate is compiled once and predicted once per window; the
+	// winner's metrics and forecast come from the same predictions.
 	type ranked struct {
-		ind   *gp.Individual
-		rmse  float64
-		train float64
+		ind              *gp.Individual
+		model            *evalx.Model
+		rmse, train      float64
+		trPred, testPred []float64
 	}
 	rankedModels := make([]ranked, 0, len(candidates))
 	bestTrain := math.Inf(1)
 	for _, ind := range candidates {
-		trPred, err := evalx.PredictIndividual(ind, cfg.Constants, ds.TrainForcing(), evalOpts.Sim)
+		m, err := evalx.Compile(ind, cfg.Constants)
 		if err != nil {
 			continue
 		}
+		trPred := m.Predict(ds.TrainForcing(), ind.Params, evalOpts.Sim)
+		pred := m.Predict(ds.TestForcing(), ind.Params, simTest)
 		train := metrics.RMSE(trPred, ds.TrainObsPhy())
-		pred, err := evalx.PredictIndividual(ind, cfg.Constants, ds.TestForcing(), simTest)
-		if err != nil {
-			continue
-		}
-		rankedModels = append(rankedModels, ranked{ind, metrics.RMSE(pred, ds.TestObsPhy()), train})
+		rankedModels = append(rankedModels, ranked{ind, m, metrics.RMSE(pred, ds.TestObsPhy()), train, trPred, pred})
 		if train < bestTrain {
 			bestTrain = train
 		}
@@ -425,28 +426,11 @@ func finalize(ds *dataset.Dataset, cfg Config, evalOpts evalx.Options, pool []*g
 		res.TopModels = append(res.TopModels, r.ind)
 		res.TopTestRMSE = append(res.TopTestRMSE, r.rmse)
 	}
-	res.Best = res.TopModels[0]
-	var err error
-	res.BestPhy, res.BestZoo, err = evalx.ModelExprs(res.Best)
-	if err != nil {
-		return nil, err
-	}
-
-	// Score the best model on both windows.
-	simTrain := evalOpts.Sim
-	trainPred, err := evalx.PredictIndividual(res.Best, cfg.Constants, ds.TrainForcing(), simTrain)
-	if err != nil {
-		return nil, err
-	}
-	res.TrainRMSE = metrics.RMSE(trainPred, ds.TrainObsPhy())
-	res.TrainMAE = metrics.MAE(trainPred, ds.TrainObsPhy())
-
-	res.TestPred, err = evalx.PredictIndividual(res.Best, cfg.Constants, ds.TestForcing(), simTest)
-	if err != nil {
-		return nil, err
-	}
-	res.TestRMSE = metrics.RMSE(res.TestPred, ds.TestObsPhy())
-	res.TestMAE = metrics.MAE(res.TestPred, ds.TestObsPhy())
+	best := rankedModels[0]
+	res.Best, res.BestPhy, res.BestZoo = best.ind, best.model.Phy, best.model.Zoo
+	res.TrainRMSE, res.TrainMAE = best.train, metrics.MAE(best.trPred, ds.TrainObsPhy())
+	res.TestPred = best.testPred
+	res.TestRMSE, res.TestMAE = best.rmse, metrics.MAE(best.testPred, ds.TestObsPhy())
 	return res, nil
 }
 
@@ -491,38 +475,50 @@ func AnalyzeSelectivity(models []*gp.Individual, consts []bio.Constant, forcing 
 	if len(models) == 0 {
 		return nil, fmt.Errorf("core: no models to analyze")
 	}
+	// Each model is compiled once and its baseline predicted at most once.
+	// An underivable model is never counted; one that fails to bind or
+	// compile (nil SegSystem) is counted where it uses a variable but
+	// never votes.
+	type compiled struct {
+		*evalx.Model
+		params []float64
+		base   []float64 // baseline forecast, predicted on first use
+		scale  float64
+	}
+	var cms []*compiled
+	for _, ind := range models {
+		if m, _ := evalx.Compile(ind, consts); m != nil {
+			cms = append(cms, &compiled{Model: m, params: ind.Params})
+		}
+	}
 	vi := bio.VarIndex()
 	var out []Selectivity
 	for _, v := range bio.Variables() {
 		count := 0
 		votePos, voteNeg := 0, 0
-		for _, ind := range models {
-			phy, zoo, err := evalx.ModelExprs(ind)
-			if err != nil {
-				continue
-			}
-			if !containsVar(phy, v.Name) && !containsVar(zoo, v.Name) {
+		var pert [][]float64 // built once per variable, on first use
+		for _, cm := range cms {
+			if !containsVar(cm.Phy, v.Name) && !containsVar(cm.Zoo, v.Name) {
 				continue
 			}
 			count++
-			base, err := evalx.PredictIndividual(ind, consts, forcing, sim)
-			if err != nil {
+			if cm.SegSystem == nil {
 				continue
 			}
-			pert := perturbForcing(forcing, vi[v.Name], 1.10)
-			moved, err := evalx.PredictIndividual(ind, consts, pert, sim)
-			if err != nil {
+			if cm.base == nil {
+				cm.base = cm.Predict(forcing, cm.params, sim)
+				cm.scale = stats.Mean(cm.base)
+			}
+			if cm.scale <= 0 {
 				continue
 			}
-			delta := meanDelta(moved, base)
-			scale := stats.Mean(base)
-			if scale <= 0 {
-				continue
+			if pert == nil {
+				pert = perturbForcing(forcing, vi[v.Name], 1.10)
 			}
-			switch {
-			case delta > 0.005*scale:
+			switch delta := meanDelta(cm.Predict(pert, cm.params, sim), cm.base); {
+			case delta > 0.005*cm.scale:
 				votePos++
-			case delta < -0.005*scale:
+			case delta < -0.005*cm.scale:
 				voteNeg++
 			}
 		}

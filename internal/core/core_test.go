@@ -91,10 +91,11 @@ func TestRevisionBeatsManual(t *testing.T) {
 	}
 	consts := bio.DefaultConstants()
 	sim := bio.SimConfig{SubSteps: 2, Phy0: ds.ObsPhy[0], Zoo0: ds.ObsZoo[0]}
-	manPred, err := evalx.PredictIndividual(man, consts, ds.TrainForcing(), sim)
+	m, err := evalx.Compile(man, consts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	manPred := m.Predict(ds.TrainForcing(), man.Params, sim)
 	manRMSE := metrics.RMSE(manPred, ds.TrainObsPhy())
 	if res.TrainRMSE >= manRMSE {
 		t.Errorf("GMR train RMSE %v did not beat MANUAL %v", res.TrainRMSE, manRMSE)

@@ -30,10 +30,11 @@ func AnalyzeParamSensitivity(ind *gp.Individual, consts []bio.Constant, forcing 
 	if ind == nil {
 		return nil, fmt.Errorf("core: nil individual")
 	}
-	base, err := evalx.PredictIndividual(ind, consts, forcing, sim)
+	m, err := evalx.Compile(ind, consts)
 	if err != nil {
 		return nil, err
 	}
+	base := m.Predict(forcing, ind.Params, sim)
 	scale := stats.Mean(base)
 	if scale <= 0 || math.IsNaN(scale) {
 		return nil, fmt.Errorf("core: degenerate baseline forecast")
@@ -43,16 +44,13 @@ func AnalyzeParamSensitivity(ind *gp.Individual, consts []bio.Constant, forcing 
 		if i >= len(ind.Params) {
 			break
 		}
-		pert := ind.Clone()
-		delta := 0.1 * pert.Params[i]
+		params := append([]float64(nil), ind.Params...)
+		delta := 0.1 * params[i]
 		if delta == 0 {
 			delta = 0.1 * (c.Max - c.Min)
 		}
-		pert.Params[i] += delta
-		moved, err := evalx.PredictIndividual(pert, consts, forcing, sim)
-		if err != nil {
-			continue
-		}
+		params[i] += delta
+		moved := m.Predict(forcing, params, sim)
 		var sum float64
 		for j := range moved {
 			sum += math.Abs(moved[j] - base[j])

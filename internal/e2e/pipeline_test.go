@@ -29,7 +29,7 @@ import (
 // deployable bundle (exactly the gmr -export-model path), a serving
 // registry loads and validates the bundle, and a served forecast over the
 // test window must be bitwise equal to the offline simulation of the same
-// individual (evalx.PredictIndividual) — the contract that makes serving
+// individual (evalx.Compile, then Predict) — the contract that makes serving
 // results comparable with the paper-protocol offline metrics. The whole
 // test runs in-process and is part of the -race suite, so it also
 // exercises the training/serving observability plane under the race
@@ -117,10 +117,11 @@ func TestTrainExportServeParity(t *testing.T) {
 	// Offline reference: the paper-protocol free-run simulation of the
 	// same individual over the same window and integration regime.
 	simTest := dataset.ModelSimConfig(subSteps, ds.ObsPhy[ds.TrainEnd], ds.ObsZoo[ds.TrainEnd])
-	want, err := evalx.PredictIndividual(res.Best, bio.DefaultConstants(), ds.TestForcing(), simTest)
+	m, err := evalx.Compile(res.Best, bio.DefaultConstants())
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := m.Predict(ds.TestForcing(), res.Best.Params, simTest)
 	if len(want) != len(resp.Predictions) {
 		t.Fatalf("offline %d days, served %d", len(want), len(resp.Predictions))
 	}

@@ -111,13 +111,14 @@ type Options struct {
 	// of reproducible experiments.
 	EvalDeadline time.Duration
 	// ProfileLabels enables per-phase pprof labels (eval_phase =
-	// exog-plan / prologue / step-kernel) on the evaluation hot path, the
-	// same toggle as Evaluator.SetProfileLabels. The scalar path labels
-	// its prologue separately; a lane launch runs its per-lane prologue
-	// inside the one step-kernel region of its KernelLanes call. Enable
-	// only for profiling runs: each labeled region allocates a pprof label
-	// set, which forfeits the zero-allocation contract of the steady-state
-	// paths (riverbench flips this on together with -cpuprofile/-pprof).
+	// exog-plan / prologue / step-kernel) on the evaluation hot path, so
+	// CPU profiles attribute time to the segments of the register VM. The
+	// scalar path labels its prologue separately; a lane launch runs its
+	// per-lane prologue inside the one step-kernel region of its
+	// KernelLanes call. Enable only for profiling runs: each labeled region
+	// allocates a pprof label set, which forfeits the zero-allocation
+	// contract of the steady-state paths (riverbench flips this on
+	// together with -cpuprofile/-pprof).
 	ProfileLabels bool
 	// Tracer records evaluation-phase spans (evalx.exog_plan,
 	// evalx.simulate, evalx.lane_batch) at the same seams as the pprof
@@ -205,13 +206,6 @@ type Evaluator struct {
 
 	shards [cacheShards]cacheShard
 	ctr    counters
-
-	// profLabels enables per-phase pprof labels (eval_phase = exog-plan /
-	// prologue / step-kernel) so CPU profiles attribute time to the
-	// segments of the register VM. Off by default: pprof.Do allocates a
-	// label set per call, which would break the zero-allocation contract
-	// of the steady-state paths.
-	profLabels bool
 
 	// tracer records evaluation-phase spans at the pprof-label seams; a
 	// nil tracer costs one nil check per phase (see Options.Tracer).
@@ -317,7 +311,6 @@ func New(forcing [][]float64, obs []float64, consts []bio.Constant, opts Options
 		keyTag:       'r',
 		bestPrevFull: math.Inf(1),
 		pendingBest:  math.Inf(1),
-		profLabels:   o.ProfileLabels,
 		tracer:       o.Tracer,
 	}
 	if o.Simplify {
@@ -350,12 +343,6 @@ func (e *Evaluator) EndBatch() {
 	e.frozenBits.Store(math.Float64bits(e.bestPrevFull))
 	e.batchMu.Unlock()
 }
-
-// SetProfileLabels toggles per-phase pprof labels on the evaluation hot
-// path (see Evaluator.profLabels). Enable it only for profiling runs: the
-// labels allocate per evaluation. Call before evaluations start, not
-// concurrently with them.
-func (e *Evaluator) SetProfileLabels(on bool) { e.profLabels = on }
 
 // Stats returns a snapshot of the work counters.
 func (e *Evaluator) Stats() Stats { return e.ctr.snapshot() }
@@ -647,6 +634,12 @@ func (e *Evaluator) insertStruct(key string, ent *structEntry) *structEntry {
 // simplified, still unbound) derivative expressions.
 func (e *Evaluator) deriveSplitSimplify(ind *gp.Individual) (phy, zoo *expr.Node, err error) {
 	e.ctr[cDerives].Add(1)
+	return deriveSplit(ind, e.opts.Simplify)
+}
+
+// deriveSplit is deriveSplitSimplify without the evaluator: the derive →
+// split → simplify half of both the tier-1 build and Compile.
+func deriveSplit(ind *gp.Individual, simplify bool) (phy, zoo *expr.Node, err error) {
 	derived, err := ind.Deriv.Derive()
 	if err != nil {
 		return nil, nil, err
@@ -655,7 +648,7 @@ func (e *Evaluator) deriveSplitSimplify(ind *gp.Individual) (phy, zoo *expr.Node
 	if err != nil {
 		return nil, nil, err
 	}
-	if e.opts.Simplify {
+	if simplify {
 		// Derive() built a fresh tree nobody else holds, so simplify in
 		// place instead of paying another full-tree clone (the cold path's
 		// single largest allocation source).
@@ -667,20 +660,34 @@ func (e *Evaluator) deriveSplitSimplify(ind *gp.Individual) (phy, zoo *expr.Node
 
 // buildEntry binds the split system and builds its executable form (the
 // segmented register program under UseCompile, interpreting trees
-// otherwise).
+// otherwise). Every successful bind counts as a structure build.
 func (e *Evaluator) buildEntry(phy, zoo *expr.Node) *structEntry {
-	if err := grammar.BindSystem(phy, zoo, e.consts); err != nil {
-		return &structEntry{bad: true}
+	seg, bound, err := link(phy, zoo, e.consts, e.opts.UseCompile)
+	if bound {
+		e.ctr[cCompiles].Add(1)
 	}
-	e.ctr[cCompiles].Add(1)
-	if !e.opts.UseCompile {
+	switch {
+	case err != nil:
+		return &structEntry{bad: true}
+	case seg == nil:
 		return &structEntry{tree: bio.NewTreeSystem(phy, zoo)}
 	}
-	seg, err := bio.NewSegSystem(phy, zoo)
-	if err != nil {
-		return &structEntry{bad: true}
-	}
 	return &structEntry{seg: seg}
+}
+
+// link is the bind → compile step shared by Compile and the evaluator's
+// tier-1 build: it binds the split system to the bio variable layout and
+// consts and, with compile, compiles it onto the segmented register VM.
+// bound reports whether binding succeeded.
+func link(phy, zoo *expr.Node, consts []bio.Constant, compile bool) (seg *bio.SegSystem, bound bool, err error) {
+	if err := grammar.BindSystem(phy, zoo, consts); err != nil {
+		return nil, false, err
+	}
+	if !compile {
+		return nil, true, nil
+	}
+	seg, err = bio.NewSegSystem(phy, zoo)
+	return seg, true, err
 }
 
 // planFor resolves the tier-1.5 exogenous plan of a structure: the T×k
@@ -729,41 +736,35 @@ func appendFitKey(buf []byte, structKey string, params []float64) []byte {
 	return buf
 }
 
-// PredictIndividual simulates an individual's revised process over an
-// arbitrary forcing window (e.g. the test period) and returns the
-// prediction series. It shares no state with the evaluator's caches.
-func PredictIndividual(ind *gp.Individual, consts []bio.Constant, forcing [][]float64, sim bio.SimConfig) ([]float64, error) {
-	derived, err := ind.Deriv.Derive()
-	if err != nil {
-		return nil, err
-	}
-	phy, zoo, err := grammar.SplitSystem(derived)
-	if err != nil {
-		return nil, err
-	}
-	phy, zoo = expr.Simplify(phy), expr.Simplify(zoo)
-	if err := grammar.BindSystem(phy, zoo, consts); err != nil {
-		return nil, err
-	}
-	sys, err := bio.NewSegSystem(phy, zoo)
-	if err != nil {
-		return nil, err
-	}
-	return sys.Predict(forcing, ind.Params, sim), nil
+// Model is an individual's revised process, compiled once: its simplified
+// derivative expressions, bound to a constants table, and the segmented
+// register program they compile to. Predict (promoted from the SegSystem)
+// simulates it over any forcing window under any parameter vector; a Model
+// is immutable and safe for concurrent use.
+type Model struct {
+	Phy, Zoo *expr.Node
+	*bio.SegSystem
 }
 
-// ModelExprs returns the simplified, human-readable derivative expressions
-// of an individual.
+// Compile derives, splits and simplifies an individual's revised process
+// (ModelExprs), then binds it to consts and compiles it. It shares no state
+// with any evaluator's caches. When binding or compiling fails, the Model
+// returned with the error still carries the expressions (and a nil
+// SegSystem), so a caller can show what failed to build.
+func Compile(ind *gp.Individual, consts []bio.Constant) (*Model, error) {
+	phy, zoo, err := ModelExprs(ind)
+	if err != nil {
+		return nil, err
+	}
+	m := &Model{Phy: phy, Zoo: zoo}
+	m.SegSystem, _, err = link(phy, zoo, consts, true)
+	return m, err
+}
+
+// ModelExprs is the first half of Compile: an individual's simplified,
+// human-readable derivative expressions, not yet bound.
 func ModelExprs(ind *gp.Individual) (phy, zoo *expr.Node, err error) {
-	derived, err := ind.Deriv.Derive()
-	if err != nil {
-		return nil, nil, err
-	}
-	phy, zoo, err = grammar.SplitSystem(derived)
-	if err != nil {
-		return nil, nil, err
-	}
-	return expr.Simplify(phy), expr.Simplify(zoo), nil
+	return deriveSplit(ind, true)
 }
 
 var (

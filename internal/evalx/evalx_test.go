@@ -277,17 +277,18 @@ func TestExtrapolators(t *testing.T) {
 	}
 }
 
-func TestPredictIndividualMatchesEvaluatorFitness(t *testing.T) {
+func TestCompiledModelMatchesEvaluatorFitness(t *testing.T) {
 	forcing, obs, consts := smallData(t)
 	ind, _ := manualInd(t)
 	ev := New(forcing, obs, consts, Options{UseCompile: true, Simplify: true, Sim: simCfg(obs)})
 	ev.BeginBatch()
 	ev.Evaluate(ind)
 	ev.EndBatch()
-	preds, err := PredictIndividual(ind, consts, forcing, simCfg(obs))
+	m, err := Compile(ind, consts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	preds := m.Predict(forcing, ind.Params, simCfg(obs))
 	var sse float64
 	for i := range preds {
 		d := preds[i] - obs[i]
@@ -295,7 +296,7 @@ func TestPredictIndividualMatchesEvaluatorFitness(t *testing.T) {
 	}
 	rmse := math.Sqrt(sse / float64(len(preds)))
 	if math.Abs(rmse-ind.Fitness) > 1e-9*(1+ind.Fitness) {
-		t.Errorf("PredictIndividual RMSE %v != evaluator fitness %v", rmse, ind.Fitness)
+		t.Errorf("compiled model RMSE %v != evaluator fitness %v", rmse, ind.Fitness)
 	}
 }
 

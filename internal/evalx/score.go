@@ -159,7 +159,7 @@ func (e *Evaluator) poisonStep(h uint64) int {
 // labeled runs f under the pprof label eval_phase=phase when profile labels
 // are on, and directly otherwise.
 func (e *Evaluator) labeled(phase string, f func()) {
-	if !e.profLabels {
+	if !e.opts.ProfileLabels {
 		f()
 		return
 	}

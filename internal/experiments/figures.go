@@ -24,7 +24,8 @@ func Fig9(ctx context.Context, ds *dataset.Dataset, sc Scale, seed int64) ([]cor
 	}
 	sim := dataset.ModelSimConfig(sc.SubSteps, ds.ObsPhy[0], ds.ObsZoo[0])
 	// Perturbation analysis over a representative window (two years)
-	// keeps the cost of 50 models × 10 variables × 2 runs manageable.
+	// keeps the cost of up to 50 models × 10 perturbed variables
+	// manageable.
 	window := ds.TrainForcing()
 	if len(window) > 730 {
 		window = window[:730]

@@ -192,7 +192,7 @@ func New(cfg Config) (*Orchestrator, error) {
 // and heap profiles attribute samples per island. Goroutines spawned inside
 // fn — notably the gp engine's worker pool, started under parallelIslands —
 // inherit the label, and the evaluator's eval_phase labels (see
-// evalx.SetProfileLabels) nest under it. The label costs one pprof.Do per
+// evalx.Options.ProfileLabels) nest under it. The label costs one pprof.Do per
 // island per barrier, far off any hot path.
 func (o *Orchestrator) parallelIslands(fn func(i int) error) error {
 	errs := make([]error, len(o.engines))

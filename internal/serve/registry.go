@@ -314,24 +314,13 @@ func (r *Registry) load(id, file, path, version string, blob []byte) *Model {
 		}
 	}
 
-	// Compile once: the same derive → split → simplify → bind pipeline as
-	// the evaluator tier-1 path, ending in the lane-capable SegSystem the
-	// batching executor dispatches through.
-	phy, zoo, err := evalx.ModelExprs(ind)
-	if err != nil {
-		m.Status = StatusRejected
-		m.Reason = RejectBadStructure
-		m.Detail = err.Error()
-		return m
+	// Compile once (evalx.Compile), ending in the lane-capable SegSystem
+	// the batching executor dispatches through. The listing shows the
+	// expressions even when binding or compiling them fails.
+	cm, err := evalx.Compile(ind, r.consts)
+	if cm != nil {
+		m.PhyExpr, m.ZooExpr = cm.Phy.Pretty(), cm.Zoo.Pretty()
 	}
-	m.PhyExpr, m.ZooExpr = phy.Pretty(), zoo.Pretty()
-	if err := grammar.BindSystem(phy, zoo, r.consts); err != nil {
-		m.Status = StatusRejected
-		m.Reason = RejectBadStructure
-		m.Detail = err.Error()
-		return m
-	}
-	seg, err := bio.NewSegSystem(phy, zoo)
 	if err != nil {
 		m.Status = StatusRejected
 		m.Reason = RejectBadStructure
@@ -354,7 +343,7 @@ func (r *Registry) load(id, file, path, version string, blob []byte) *Model {
 	}
 	m.ServingRMSE = ind.Fitness
 	m.ind = ind
-	m.seg = seg
+	m.seg = cm.SegSystem
 	m.params = append([]float64(nil), ind.Params...)
 	m.Status = StatusReady
 	return m

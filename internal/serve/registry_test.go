@@ -1,12 +1,18 @@
 package serve
 
 import (
+	"encoding/json"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"gmr/internal/bio"
+	"gmr/internal/core"
 	"gmr/internal/gp"
+	"gmr/internal/orchestrator"
 )
 
 func TestRegistryLoadsBundlesAndPicksChampion(t *testing.T) {
@@ -101,6 +107,66 @@ func TestRegistryRejectionReasons(t *testing.T) {
 	if champ, why := s.Registry().Lookup(""); champ == nil || champ.ID != "champion" {
 		t.Fatalf("champion lookup failed: %s", why)
 	}
+}
+
+// TestRegistryRejectsUnbindableCheckpoint: a checkpoint carries no serving
+// fingerprints, so a model whose parameter names the serving constants do
+// not define passes decode and the parameter-count check and fails only at
+// binding. It is rejected as bad_structure, and the listing still shows the
+// expressions that failed to bind.
+func TestRegistryRejectsUnbindableCheckpoint(t *testing.T) {
+	consts := bio.DefaultConstants()
+	consts[0].Name += "_renamed"
+	s, dir := newTestServer(t, func(c *Config) { c.Constants = consts })
+
+	ind, _, err := core.ManualIndividual(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved, err := ind.Saved()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(orchestrator.Checkpoint{
+		Version: orchestrator.CheckpointVersion,
+		Islands: []*gp.EngineSnapshot{{Best: saved}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "island.ckpt"), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Reload(); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/models", nil))
+	var listing struct {
+		Models []struct {
+			ID, Source, Status, Reason, Detail string
+			PhyExpr                            string `json:"phy_expr"`
+			ZooExpr                            string `json:"zoo_expr"`
+		} `json:"models"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &listing); err != nil {
+		t.Fatalf("%v: %s", err, rec.Body)
+	}
+	for _, m := range listing.Models {
+		if m.ID != "island" {
+			continue
+		}
+		if m.Source != "checkpoint" || m.Status != string(StatusRejected) || m.Reason != RejectBadStructure {
+			t.Fatalf("checkpoint: source %q status %q reason %q (%s), want a rejected checkpoint with %q",
+				m.Source, m.Status, m.Reason, m.Detail, RejectBadStructure)
+		}
+		if m.PhyExpr == "" || m.ZooExpr == "" {
+			t.Fatalf("rejected listing lost its expressions: phy %q zoo %q", m.PhyExpr, m.ZooExpr)
+		}
+		return
+	}
+	t.Fatalf("checkpoint missing from the listing: %s", rec.Body)
 }
 
 func TestReloadReusesUnchangedEntriesAndSwapsChanged(t *testing.T) {

@@ -127,16 +127,24 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	// this handler's lenient decode silently ignored an "ensemble" key, so
 	// it must keep doing exactly that.
 	req.Ensemble = nil
+	s.serveForecast(w, r, &req, "v1", s.writeError)
+}
+
+// serveForecast is the tail the /v1 and /v2 forecast handlers share once a
+// request is decoded: drain check, resolve, response-cache lookup, execute,
+// marshal, count, write. fail writes an error in the surface's own format;
+// wire salts the response-cache key, so the surfaces never share a body.
+func (s *Server) serveForecast(w http.ResponseWriter, r *http.Request, req *ForecastRequest, wire string, fail func(http.ResponseWriter, string, error)) {
 	if s.draining.Load() {
-		s.writeError(w, "draining", errDraining)
+		fail(w, "draining", errDraining)
 		return
 	}
-	spec, code, err := s.resolve(&req)
+	spec, code, err := s.resolve(req)
 	if err != nil {
-		s.writeError(w, code, err)
+		fail(w, code, err)
 		return
 	}
-	key := respKeyFor(&req, spec, "v1")
+	key := respKeyFor(req, spec, wire)
 	if body := s.respCache.get(key); body != nil {
 		s.m.countRequest("ok")
 		w.Header().Set("Content-Type", "application/json")
@@ -145,12 +153,12 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, code, err := s.execute(r.Context(), spec)
 	if err != nil {
-		s.writeError(w, code, err)
+		fail(w, code, err)
 		return
 	}
 	body, err := json.Marshal(resp)
 	if err != nil {
-		s.writeError(w, "internal", err)
+		fail(w, "internal", err)
 		return
 	}
 	body = append(body, '\n')

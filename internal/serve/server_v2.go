@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"mime"
@@ -60,6 +59,13 @@ func (s *Server) errorV2(w http.ResponseWriter, status int, wireCode, metricCode
 	writeJSON(w, status, api.NewError(wireCode, message, details))
 }
 
+// writeErrorV2 is writeError for /v2: the typed envelope, at the status
+// and wire code v2Status maps the internal outcome code to.
+func (s *Server) writeErrorV2(w http.ResponseWriter, code string, err error) {
+	status, wireCode := v2Status(code)
+	s.errorV2(w, status, wireCode, code, err.Error(), "")
+}
+
 // jsonContentType accepts application/json (any parameters) or an
 // unlabeled body.
 func jsonContentType(r *http.Request) bool {
@@ -103,46 +109,10 @@ func (s *Server) handleForecastV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := req.Validate(); err != nil {
-		s.errorV2(w, http.StatusBadRequest, api.CodeBadRequest, "bad_request", err.Error(), "")
+		s.writeErrorV2(w, "bad_request", err)
 		return
 	}
-	if s.draining.Load() {
-		s.errorV2(w, http.StatusServiceUnavailable, api.CodeOverloaded, "draining", errDraining.Error(), "")
-		return
-	}
-	spec, code, err := s.resolve(req)
-	if err != nil {
-		status, wireCode := v2Status(code)
-		s.errorV2(w, status, wireCode, code, err.Error(), "")
-		return
-	}
-	key := respKeyFor(req, spec, "v2")
-	if body := s.respCache.get(key); body != nil {
-		s.m.countRequest("ok")
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(body)
-		return
-	}
-	resp, code, err := s.execute(r.Context(), spec)
-	if err != nil {
-		status, wireCode := v2Status(code)
-		s.errorV2(w, status, wireCode, code, err.Error(), "")
-		return
-	}
-	body, err := json.Marshal(resp)
-	if err != nil {
-		s.errorV2(w, http.StatusInternalServerError, api.CodeInternal, "internal", err.Error(), "")
-		return
-	}
-	body = append(body, '\n')
-	s.respCache.put(key, body)
-	if resp.Quarantined {
-		s.m.countRequest("quarantined")
-	} else {
-		s.m.countRequest("ok")
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(body)
+	s.serveForecast(w, r, req, "v2", s.writeErrorV2)
 }
 
 // modelsBodyV2 is the /v2 catalog listing: the v1 fields plus each
@@ -191,7 +161,7 @@ func (s *Server) handleReloadV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.Reload(); err != nil {
-		s.errorV2(w, http.StatusInternalServerError, api.CodeInternal, "internal", err.Error(), "")
+		s.writeErrorV2(w, "internal", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, s.modelsBodyV2())
