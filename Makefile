@@ -44,9 +44,11 @@ fuzz:
 # checkpoint truncation, resume-under-faults determinism), the
 # clustered-scheduler differential tests (cluster/scalar/worker-count
 # parity, with and without faults) and the divergent-member quarantine of
-# every lane-kernel caller under the race detector.
+# every lane-kernel caller under the race detector, and concurrent
+# on-demand fills of one shared exogenous plan.
 chaos:
 	$(GO) test -race ./internal/faultinject/
+	$(GO) test -race -count=10 -run TestExogPlanConcurrentFill ./internal/bio/
 	$(GO) test -race -run 'Chaos|Cluster|Fault|Quarantine|Backup|Truncation' \
 		./internal/evalx/ ./internal/gp/ ./internal/orchestrator/ \
 		./internal/ensemble/ ./internal/serve/

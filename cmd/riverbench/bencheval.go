@@ -318,8 +318,9 @@ func benchEvalPass(ds *dataset.Dataset) []benchEvalResult {
 		}
 	}))
 
-	// Simulation inner loop: the segmented register VM consuming a
-	// prebuilt exogenous plan (what a tier-1 hit pays after hoisting).
+	// Simulation inner loop: the segmented register VM consuming a filled
+	// exogenous plan (the warm-up run fills it; what a tier-1 hit pays
+	// after hoisting).
 	record("bio_seg_kernel", testing.Benchmark(func(b *testing.B) {
 		phy, zoo, bconsts, err := bio.ManualSystem()
 		if err != nil {
@@ -330,7 +331,7 @@ func benchEvalPass(ds *dataset.Dataset) []benchEvalResult {
 			b.Fatal(err)
 		}
 		params := bio.Means(bconsts)
-		plan := seg.BuildExogPlan(forcing)
+		plan := seg.NewExogPlan(forcing)
 		var sc bio.SimScratch
 		seg.Prologue(params, &sc)
 		seg.Kernel(plan, simCfg, &sc, nil)

@@ -13,7 +13,7 @@ func BenchmarkSegKernel(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := SimConfig{Phy0: 10, Zoo0: 1}
-	plan := seg.BuildExogPlan(forcing)
+	plan := seg.NewExogPlan(forcing)
 	var sc SimScratch
 	b.ReportAllocs()
 	b.ResetTimer()

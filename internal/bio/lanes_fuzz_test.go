@@ -118,7 +118,7 @@ func FuzzLaneKernelVsScalar(f *testing.F) {
 			}
 		}
 
-		plan := seg.BuildExogPlan(forcing)
+		plan := seg.NewExogPlan(forcing)
 		want := make([]stepTrace, n)
 		var sc SimScratch
 		for m := range params {

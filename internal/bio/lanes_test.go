@@ -44,7 +44,7 @@ func TestKernelLanesMatchesScalarKernel(t *testing.T) {
 		}
 		for trial := 0; trial < 10; trial++ {
 			forcing := randForcing(rng, 30+rng.Intn(40))
-			plan := seg.BuildExogPlan(forcing)
+			plan := seg.NewExogPlan(forcing)
 			cfg := cfgs[trial%len(cfgs)]
 			n := 1 + rng.Intn(expr.Lanes)
 			params := make([][]float64, n)
@@ -97,7 +97,7 @@ func TestRunLanesChunksWideBatches(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(11))
 	forcing := randForcing(rng, 50)
-	plan := seg.BuildExogPlan(forcing)
+	plan := seg.NewExogPlan(forcing)
 	cfg := SimConfig{SubSteps: 4, Phy0: 1, Zoo0: 0.5}
 	for _, n := range []int{1, expr.Lanes, expr.Lanes + 1, 2*expr.Lanes + 4} {
 		params := make([][]float64, n)
@@ -157,7 +157,7 @@ func TestKernelLanesCompactionStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 20; trial++ {
 		forcing := randForcing(rng, 20)
-		plan := seg.BuildExogPlan(forcing)
+		plan := seg.NewExogPlan(forcing)
 		cfg := SimConfig{SubSteps: 2, Phy0: 0.1 + rng.Float64()*3, Zoo0: rng.Float64(), ClampDisabled: trial%2 == 0}
 		n := expr.Lanes
 		params := make([][]float64, n)
@@ -200,7 +200,7 @@ func TestKernelLanesAllocFree(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(17))
 	forcing := randForcing(rng, 60)
-	plan := seg.BuildExogPlan(forcing)
+	plan := seg.NewExogPlan(forcing)
 	cfg := SimConfig{SubSteps: 4, Phy0: 1, Zoo0: 0.5}
 	params := make([][]float64, expr.Lanes)
 	for m := range params {

@@ -150,7 +150,7 @@ func TestSegSystemMatchesTreeSystem(t *testing.T) {
 			var trTree, trSeg stepTrace
 			var scTree, scSeg SimScratch
 			predTree := tree.RunBuf(forcing, params, cfg, &scTree, trTree.hook(stopAt))
-			plan := seg.BuildExogPlan(forcing)
+			plan := seg.NewExogPlan(forcing)
 			seg.Prologue(params, &scSeg)
 			predSeg := seg.Kernel(plan, cfg, &scSeg, trSeg.hook(stopAt))
 
@@ -280,7 +280,7 @@ func TestSegKernelSteadyStateAllocFree(t *testing.T) {
 	forcing := randForcing(rng, 120)
 	params := Means(consts)
 	cfg := SimConfig{SubSteps: 4, Phy0: 2, Zoo0: 1}
-	plan := seg.BuildExogPlan(forcing)
+	plan := seg.NewExogPlan(forcing)
 	var sc SimScratch
 	seg.Prologue(params, &sc)
 	seg.Kernel(plan, cfg, &sc, nil) // warm the buffers

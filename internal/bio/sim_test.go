@@ -142,7 +142,7 @@ func TestSegSystemConcurrent(t *testing.T) {
 	}
 	cfg := SimConfig{Phy0: 10, Zoo0: 1}
 	want := seg.Predict(forcing, params, cfg)
-	plan := seg.BuildExogPlan(forcing)
+	plan := seg.NewExogPlan(forcing)
 	const workers = 8
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {

@@ -8,9 +8,9 @@ import (
 )
 
 // riverSystem compiles the fixed manual process of equations (1) and (2)
-// onto the segmented register VM and hoists its exogenous plan over the
+// onto the segmented register VM and opens its exogenous plan over the
 // calibration window: the structure never changes during calibration, so
-// both are built once per objective.
+// both are built once per objective (the first call fills the plan).
 func riverSystem(forcing [][]float64) (*bio.SegSystem, *bio.ExogPlan, error) {
 	phy, zoo, _, err := bio.ManualSystem()
 	if err != nil {
@@ -20,7 +20,7 @@ func riverSystem(forcing [][]float64) (*bio.SegSystem, *bio.ExogPlan, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return sys, sys.BuildExogPlan(forcing), nil
+	return sys, sys.NewExogPlan(forcing), nil
 }
 
 // RiverObjective builds the case study's calibration objective: training
@@ -65,7 +65,7 @@ func RiverBatchObjective(forcing [][]float64, obs []float64, sim bio.SimConfig) 
 // the GP winner's, only its parameters vary. The returned closure reuses
 // internal buffers and is not safe for concurrent calls.
 func StructureBatchObjective(sys *bio.SegSystem, forcing [][]float64, obs []float64, sim bio.SimConfig) BatchObjective {
-	return planBatchObjective(sys, sys.BuildExogPlan(forcing), obs, sim)
+	return planBatchObjective(sys, sys.NewExogPlan(forcing), obs, sim)
 }
 
 // planBatchObjective scores populations of sys over a prebuilt plan. The

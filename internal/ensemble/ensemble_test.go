@@ -26,7 +26,7 @@ func fixture(t *testing.T, days int) (*bio.SegSystem, *bio.ExogPlan, bio.SimConf
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := sys.BuildExogPlan(ds.Forcing[:days])
+	plan := sys.NewExogPlan(ds.Forcing[:days])
 	sim := dataset.ModelSimConfig(2, ds.ObsPhy[0], ds.ObsZoo[0])
 	return sys, plan, sim, consts
 }

@@ -111,20 +111,21 @@ type Options struct {
 	// of reproducible experiments.
 	EvalDeadline time.Duration
 	// ProfileLabels enables per-phase pprof labels (eval_phase =
-	// exog-plan / prologue / step-kernel) on the evaluation hot path, so
-	// CPU profiles attribute time to the segments of the register VM. The
-	// scalar path labels its prologue separately; a lane launch runs its
-	// per-lane prologue inside the one step-kernel region of its
-	// KernelLanes call. Enable only for profiling runs: each labeled region
+	// prologue / step-kernel) on the evaluation hot path, so CPU profiles
+	// attribute time to the segments of the register VM. The scalar path
+	// labels its prologue separately; a lane launch runs its per-lane
+	// prologue inside the one step-kernel region of its KernelLanes call.
+	// Exogenous plan blocks are filled inside step-kernel, as the kernel
+	// reaches them. Enable only for profiling runs: each labeled region
 	// allocates a pprof label set, which forfeits the zero-allocation
 	// contract of the steady-state paths (riverbench flips this on
 	// together with -cpuprofile/-pprof).
 	ProfileLabels bool
-	// Tracer records evaluation-phase spans (evalx.exog_plan,
-	// evalx.simulate, evalx.lane_batch) at the same seams as the pprof
-	// labels. A nil tracer is the zero-cost disabled path (no
-	// allocations); an enabled tracer samples and ring-buffers spans (see
-	// internal/obs).
+	// Tracer records evaluation-phase spans (evalx.simulate,
+	// evalx.lane_batch) at the same seams as the pprof labels; plan block
+	// fills fall inside them. A nil tracer is the zero-cost disabled path
+	// (no allocations); an enabled tracer samples and ring-buffers spans
+	// (see internal/obs).
 	Tracer *obs.Tracer
 }
 
@@ -261,14 +262,14 @@ type structEntry struct {
 	bad  bool        // structure failed to bind or compile
 
 	// Segmented register VM (DESIGN.md §10), under UseCompile: seg is the
-	// compiled register program; plan is the lazily built tier-1.5
-	// exogenous matrix for this evaluator's forcing series. An evaluator
-	// owns exactly one dataset, so the (structure, dataset) cache key
-	// reduces to the structure — the plan can hang off the tier-1 entry
-	// and be built at most once via planOnce.
-	seg      *bio.SegSystem
-	planOnce sync.Once
-	plan     *bio.ExogPlan
+	// compiled register program; plan is the tier-1.5 exogenous matrix for
+	// this evaluator's forcing series, opened with the entry and filled on
+	// demand by the kernels. An evaluator owns exactly one dataset, so the
+	// (structure, dataset) cache key reduces to the structure — the plan
+	// can hang off the tier-1 entry. opened marks its first simulation.
+	seg    *bio.SegSystem
+	plan   *bio.ExogPlan
+	opened atomic.Bool
 }
 
 // cacheShards stripes both cache tiers; must be a power of two.
@@ -672,7 +673,7 @@ func (e *Evaluator) buildEntry(phy, zoo *expr.Node) *structEntry {
 	case seg == nil:
 		return &structEntry{tree: bio.NewTreeSystem(phy, zoo)}
 	}
-	return &structEntry{seg: seg}
+	return &structEntry{seg: seg, plan: seg.NewExogPlan(e.forcing)}
 }
 
 // link is the bind → compile step shared by Compile and the evaluator's
@@ -692,21 +693,15 @@ func link(phy, zoo *expr.Node, consts []bio.Constant, compile bool) (seg *bio.Se
 
 // planFor resolves the tier-1.5 exogenous plan of a structure: the T×k
 // matrix of hoisted forcing-only register values over this evaluator's
-// training window. The first caller materializes it (EvalExog over the
-// whole series); every later simulation of the same structure reuses it.
-// Without UseCache every evaluation builds a fresh entry, so the plan is
-// rebuilt (and counted as a build) per evaluation.
+// training window, filled block by block as simulations reach its days.
+// The structure's first simulation counts as the plan's build; every later
+// one reuses the rows already filled. Without UseCache every evaluation
+// builds a fresh entry, so each evaluation opens (and counts) a new plan.
 func (e *Evaluator) planFor(ent *structEntry) *bio.ExogPlan {
-	built := false
-	ent.planOnce.Do(func() {
-		span := e.tracer.Start("evalx.exog_plan")
-		defer span.End()
-		e.labeled("exog-plan", func() { ent.plan = ent.seg.BuildExogPlan(e.forcing) })
+	if ent.opened.CompareAndSwap(false, true) {
 		e.ctr[cExogPlanBuilds].Add(1)
 		e.ctr[cRegsHoisted].Add(int64(ent.plan.Width()))
-		built = true
-	})
-	if !built {
+	} else {
 		e.ctr[cExogPlanHits].Add(1)
 	}
 	return ent.plan

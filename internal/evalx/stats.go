@@ -31,9 +31,10 @@ type Stats struct {
 	StepsPossible  int `json:"steps_possible"`  // fitness cases that full evaluation would cost
 
 	// Tier-1.5 exogenous-plan cache and batch-evaluation counters
-	// (DESIGN.md §10): plans are hoisted T×k forcing matrices built once per
-	// structure; hits are segmented simulations that reused one.
-	ExogPlanBuilds int `json:"exog_plan_builds"` // T×k exogenous matrices materialized
+	// (DESIGN.md §10): plans are hoisted T×k forcing matrices, one per
+	// structure, filled on demand; hits are segmented simulations that
+	// reused one.
+	ExogPlanBuilds int `json:"exog_plan_builds"` // exogenous plans opened (first simulation of a structure), not rows filled
 	ExogPlanHits   int `json:"exog_plan_hits"`   // segmented simulations served by an existing plan
 	RegsHoisted    int `json:"regs_hoisted"`     // exogenous registers hoisted across all plan builds (Σ k)
 	BatchCalls     int `json:"batch_calls"`      // EvaluateParamBatch invocations
