@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all fmt build vet test race fuzz chaos bench bench-smoke bench-module bencheval bench-diff servebench ensemblebench serve-smoke cover-obs check clean
+.PHONY: all fmt build vet test race fuzz chaos bench bench-smoke bench-module bencheval bench-diff servebench ensemblebench serve-smoke examples-smoke cover-obs check clean
 
 all: check
 
@@ -117,6 +117,15 @@ ensemblebench:
 serve-smoke:
 	$(GO) test -run TestServeSmoke -count 1 ./cmd/gmrd/
 
+# examples-smoke runs the Lotka–Volterra example (~4 s) and fails unless
+# its revision recruits the seasonal driver S. It is the only caller that
+# drives gp.Engine through a plain gp.Evaluator (per-individual dispatch and
+# sequential elite refinement), a path no golden file covers.
+examples-smoke:
+	@out=$$($(GO) run ./examples/lotkavolterra) || exit 1; echo "$$out"; \
+	case "$$out" in *"recruited the seasonal driver S"*) ;; \
+	*) echo "examples-smoke: the Lotka–Volterra revision did not recruit S"; exit 1;; esac
+
 # cover-obs enforces the coverage floor on the observability subsystem:
 # the registry/tracer/exposition package must stay ≥85% covered (it is
 # the single source of truth for every metric the system reports, so an
@@ -129,7 +138,7 @@ cover-obs:
 	awk -v t="$$total" 'BEGIN { if (t+0 < 85) { printf "internal/obs coverage %.1f%% is below the 85%% floor\n", t; exit 1 } \
 		printf "internal/obs coverage %.1f%% (floor 85%%)\n", t }'
 
-check: fmt build vet test race chaos fuzz serve-smoke cover-obs bench-module
+check: fmt build vet test race chaos fuzz serve-smoke examples-smoke cover-obs bench-module
 
 clean:
 	$(GO) clean ./...

@@ -164,8 +164,7 @@ func main() {
 			{Mean: 0.6, Min: 0.2, Max: 1.2},
 			{Mean: 0.15, Min: 0.05, Max: 0.5},
 		},
-		InitParamsAtMean: true,
-		Seed:             11,
+		Seed: 11,
 	})
 	if err != nil {
 		log.Fatal(err)

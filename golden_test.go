@@ -8,7 +8,8 @@ package gmr
 //
 //	dataset.golden  float bits of experiments.DefaultDataset(7)
 //	calib.golden    one small-budget calibration per calibrator
-//	islands.golden  a tiny 2-island core.RunIslands run per generation budget
+//	islands.golden  a tiny 2-island core.RunIslands run per generation budget,
+//	                reproduced under -nocluster and with 8 workers
 //	analysis.golden finalize's ranking and best-model metrics of one such
 //	                run, and its Fig 9 selectivity and parameter
 //	                sensitivity rows
@@ -17,7 +18,7 @@ package gmr
 //	                evaluator's JSON counter record, per evaluator mode
 //	serve.golden    exact /v1 and /v2 forecast response bodies: point,
 //	                concurrent co-batched point, and a posterior ensemble
-//	                with one divergent member
+//	                with one divergent member; reproduced with MaxBatch 1
 //
 // Each file holds one "<item> <value>" line per item; a failure names the
 // first item that diverges. After an intended behaviour change, regenerate
@@ -211,45 +212,76 @@ func TestGoldenCalibration(t *testing.T) {
 	checkGolden(t, "calib.golden", g)
 }
 
+// goldenVariant is one configuration of a golden test that claims bitwise
+// parity with the default: every variant must reproduce the same committed
+// file. Under -update only the default variant rewrites it.
+type goldenVariant[C any] struct {
+	name string
+	mod  func(*C)
+}
+
+// runGoldenVariants runs lines once per variant and checks each result
+// against the one golden file.
+func runGoldenVariants[C any](t *testing.T, file string, variants []goldenVariant[C], lines func(*testing.T, func(*C)) goldenLines) {
+	for i, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			if *updateGolden && i > 0 {
+				t.Skip("-update regenerates from the default variant")
+			}
+			checkGolden(t, file, lines(t, v.mod))
+		})
+	}
+}
+
 // TestGoldenIslands runs a tiny two-island revision once per generation
 // budget, so the first diverging item names the generation. Each item
 // carries every island's per-generation best fitness bits, the GP
 // champion's canonical model and parameter bits, and the reported
 // champion's test RMSE bits
-// (pre-calibration and finalize's forecasts included).
+// (pre-calibration and finalize's forecasts included). The -nocluster
+// ablation and eight evaluation workers must reproduce the default
+// (one worker, clustered) bytes.
 func TestGoldenIslands(t *testing.T) {
 	ds := goldenDataset(t)
-	var g goldenLines
-	for gens := 1; gens <= 3; gens++ {
-		cfg := core.Config{
-			GP: gp.Config{
-				PopSize: 10, MaxGen: gens, LocalSearchSteps: 1,
-				Seed: 11, Workers: 1,
-			},
-			Eval:               evalx.AllSpeedups(dataset.ModelSimConfig(experiments.Small.SubSteps, 0, 0)),
-			TopK:               5,
-			PreCalibrateBudget: 40,
-		}
-		res, orch, err := core.RunIslands(context.Background(), ds, cfg, core.IslandOptions{Islands: 2, MigrationEvery: 1, Migrants: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var best []string
-		for _, r := range orch.PerIsland {
-			for _, h := range r.History {
-				best = append(best, fmt.Sprintf("%016x", math.Float64bits(h.BestFitness)))
-			}
-		}
-		phy, zoo, err := evalx.ModelExprs(orch.Best)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.add(fmt.Sprintf("gens=%d/best_fitness", gens), "%s", strings.Join(best, ","))
-		g.add(fmt.Sprintf("gens=%d/champion", gens), "%s|%s params=%s", phy, zoo, floatsDigest(orch.Best.Params))
-		g.add(fmt.Sprintf("gens=%d/reported", gens), "%s|%s", res.BestPhy, res.BestZoo)
-		g.add(fmt.Sprintf("gens=%d/test_rmse", gens), "%016x", math.Float64bits(res.TestRMSE))
+	variants := []goldenVariant[gp.Config]{
+		{"default", func(*gp.Config) {}},
+		{"nocluster", func(c *gp.Config) { c.NoCluster = true }},
+		{"workers8", func(c *gp.Config) { c.Workers = 8 }},
 	}
-	checkGolden(t, "islands.golden", g)
+	runGoldenVariants(t, "islands.golden", variants, func(t *testing.T, mod func(*gp.Config)) goldenLines {
+		var g goldenLines
+		for gens := 1; gens <= 3; gens++ {
+			cfg := core.Config{
+				GP: gp.Config{
+					PopSize: 10, MaxGen: gens, LocalSearchSteps: 1,
+					Seed: 11, Workers: 1,
+				},
+				Eval:               evalx.AllSpeedups(dataset.ModelSimConfig(experiments.Small.SubSteps, 0, 0)),
+				TopK:               5,
+				PreCalibrateBudget: 40,
+			}
+			mod(&cfg.GP)
+			res, orch, err := core.RunIslands(context.Background(), ds, cfg, core.IslandOptions{Islands: 2, MigrationEvery: 1, Migrants: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var best []string
+			for _, r := range orch.PerIsland {
+				for _, h := range r.History {
+					best = append(best, fmt.Sprintf("%016x", math.Float64bits(h.BestFitness)))
+				}
+			}
+			phy, zoo, err := evalx.ModelExprs(orch.Best)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.add(fmt.Sprintf("gens=%d/best_fitness", gens), "%s", strings.Join(best, ","))
+			g.add(fmt.Sprintf("gens=%d/champion", gens), "%s|%s params=%s", phy, zoo, floatsDigest(orch.Best.Params))
+			g.add(fmt.Sprintf("gens=%d/reported", gens), "%s|%s", res.BestPhy, res.BestZoo)
+			g.add(fmt.Sprintf("gens=%d/test_rmse", gens), "%016x", math.Float64bits(res.TestRMSE))
+		}
+		return g
+	})
 }
 
 // TestGoldenAnalysis pins what finalize and the Fig 9 analyses derive
@@ -479,6 +511,7 @@ func goldenStatsJSON(t *testing.T, ev *evalx.Evaluator) string {
 // posterior whose sample 4 diverges: one /v1 and one /v2 point forecast,
 // ten concurrent /v2 point forecasts with distinct parameters (co-batched
 // into lane cohorts by the batcher), and one nine-member /v2 ensemble.
+// Serving with MaxBatch 1 (no co-batching) must reproduce the same bytes.
 func TestGoldenServe(t *testing.T) {
 	ds := goldenDataset(t)
 	ind, gram, err := core.ManualIndividual(core.Config{})
@@ -515,37 +548,45 @@ func TestGoldenServe(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s, err := serve.New(serve.Config{Dataset: ds, ModelsDir: dir, CacheSize: -1, BatchWindow: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+	variants := []goldenVariant[serve.Config]{
+		{"default", func(*serve.Config) {}},
+		{"maxbatch1", func(c *serve.Config) { c.MaxBatch = 1 }},
 	}
-	defer s.Close()
-	h := s.Handler()
-	post := func(path, body string) string {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
-		if rec.Code != http.StatusOK {
-			t.Errorf("POST %s %s: status %d: %s", path, body, rec.Code, rec.Body)
+	runGoldenVariants(t, "serve.golden", variants, func(t *testing.T, mod func(*serve.Config)) goldenLines {
+		cfg := serve.Config{Dataset: ds, ModelsDir: dir, CacheSize: -1, BatchWindow: 20 * time.Millisecond}
+		mod(&cfg)
+		s, err := serve.New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return strings.TrimSuffix(rec.Body.String(), "\n")
-	}
+		defer s.Close()
+		h := s.Handler()
+		post := func(path, body string) string {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Errorf("POST %s %s: status %d: %s", path, body, rec.Code, rec.Body)
+			}
+			return strings.TrimSuffix(rec.Body.String(), "\n")
+		}
 
-	var g goldenLines
-	g.add("v1/point", "%s", post("/v1/forecast", `{"days":30}`))
-	g.add("v2/point", "%s", post("/v2/forecast", `{"days":30,"params":{"CUA":1.5}}`))
-	bodies := make([]string, 10)
-	var wg sync.WaitGroup
-	for i := range bodies {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			bodies[i] = post("/v2/forecast", fmt.Sprintf(`{"days":30,"params":{"CUA":%g}}`, 1+0.1*float64(i)))
-		}()
-	}
-	wg.Wait()
-	for i, body := range bodies {
-		g.add(fmt.Sprintf("v2/concurrent%d", i), "%s", body)
-	}
-	g.add("v2/ensemble", "%s", post("/v2/forecast", `{"days":30,"ensemble":{"members":9}}`))
-	checkGolden(t, "serve.golden", g)
+		var g goldenLines
+		g.add("v1/point", "%s", post("/v1/forecast", `{"days":30}`))
+		g.add("v2/point", "%s", post("/v2/forecast", `{"days":30,"params":{"CUA":1.5}}`))
+		bodies := make([]string, 10)
+		var wg sync.WaitGroup
+		for i := range bodies {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				bodies[i] = post("/v2/forecast", fmt.Sprintf(`{"days":30,"params":{"CUA":%g}}`, 1+0.1*float64(i)))
+			}()
+		}
+		wg.Wait()
+		for i, body := range bodies {
+			g.add(fmt.Sprintf("v2/concurrent%d", i), "%s", body)
+		}
+		g.add("v2/ensemble", "%s", post("/v2/forecast", `{"days":30,"ensemble":{"members":9}}`))
+		return g
+	})
 }

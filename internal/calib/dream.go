@@ -8,18 +8,18 @@ import (
 // DREAM is differential evolution adaptive Metropolis [Vrugt 2016]: N
 // parallel chains propose jumps built from the difference of two other
 // chains' states scaled by γ = 2.38/√(2d), with occasional γ=1 mode jumps
-// and per-dimension crossover, accepted by the Metropolis rule.
+// and per-dimension crossover, accepted by the Metropolis rule. It runs
+// max(2d, 8) chains.
 type DREAM struct {
-	// Chains is the number of parallel chains; zero means max(2d, 8).
-	Chains int
-	// CR is the per-dimension crossover probability; zero means 0.9.
-	CR float64
 	// Record, if non-nil, retains post-burn-in chain states (one offer per
 	// chain per sweep, in chain order). Recording consumes no randomness,
 	// so enabling it leaves the calibration trajectory bitwise identical
 	// (DESIGN.md §15).
 	Record *PosteriorRecorder
 }
+
+// dreamCR is DREAM's per-dimension crossover probability.
+const dreamCR = 0.9
 
 // NewDREAM returns the DREAM calibrator.
 func NewDREAM() *DREAM { return &DREAM{} }
@@ -43,17 +43,7 @@ func (dr *DREAM) Calibrate(obj Objective, lo, hi []float64, budget int, rng *ran
 // sampler deterministic for a given RNG stream.
 func (dr *DREAM) CalibrateBatch(obj BatchObjective, lo, hi []float64, budget int, rng *rand.Rand) ([]float64, float64) {
 	d := len(lo)
-	n := dr.Chains
-	if n == 0 {
-		n = 2 * d
-		if n < 8 {
-			n = 8
-		}
-	}
-	cr := dr.CR
-	if cr == 0 {
-		cr = 0.9
-	}
+	n := max(2*d, 8) // chains
 	evals := 0
 	xs := make([][]float64, 0, n)
 	for i := 0; i < n; i++ {
@@ -96,7 +86,7 @@ func (dr *DREAM) CalibrateBatch(obj BatchObjective, lo, hi []float64, budget int
 			prop := cloneVec(snap[i].x)
 			moved := false
 			for j := 0; j < d; j++ {
-				if rng.Float64() > cr {
+				if rng.Float64() > dreamCR {
 					continue
 				}
 				e := 1e-6 * (hi[j] - lo[j]) * rng.NormFloat64()
@@ -129,17 +119,9 @@ func (dr *DREAM) CalibrateBatch(obj BatchObjective, lo, hi []float64, budget int
 // DEMCZ is DE-MC(Z) [ter Braak & Vrugt 2008]: differential evolution Markov
 // chain sampling where jump vectors are built from states drawn from a
 // growing archive Z of past states rather than the current population,
-// allowing fewer parallel chains.
-type DEMCZ struct {
-	// Chains is the number of parallel chains; zero means 3.
-	Chains int
-	// ArchiveEvery thins archive updates; zero means every accepted
-	// state is archived.
-	ArchiveEvery int
-	// Record, if non-nil, retains post-burn-in chain states (one offer per
-	// chain update). Recording consumes no randomness; see DREAM.Record.
-	Record *PosteriorRecorder
-}
+// allowing fewer parallel chains: it runs 3, and archives every accepted
+// state.
+type DEMCZ struct{}
 
 // NewDEMCZ returns the DE-MCz calibrator.
 func NewDEMCZ() *DEMCZ { return &DEMCZ{} }
@@ -150,10 +132,7 @@ func (*DEMCZ) Name() string { return "DE-MCz" }
 // Calibrate implements Calibrator.
 func (dz *DEMCZ) Calibrate(obj Objective, lo, hi []float64, budget int, rng *rand.Rand) ([]float64, float64) {
 	d := len(lo)
-	n := dz.Chains
-	if n == 0 {
-		n = 3
-	}
+	const n = 3 // chains
 	evals := 0
 	// Seed the archive with an initial spread of states.
 	m0 := 10 * n
@@ -202,7 +181,6 @@ func (dz *DEMCZ) Calibrate(obj Objective, lo, hi []float64, budget int, rng *ran
 					best, bestF = cloneVec(prop), f
 				}
 			}
-			dz.Record.Record(chains[i].x)
 		}
 	}
 	return best, bestF

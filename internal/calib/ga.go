@@ -8,14 +8,14 @@ import (
 // crossover, Gaussian mutation scaled to the box, and elitism. This is the
 // classic approach previously used for river-model calibration [Kim et al.
 // 2010, 2014], which GMR's model revision is compared against.
-type GA struct {
-	// PopSize is the population size; zero means 24.
-	PopSize int
-	// PMut is the per-gene mutation probability; zero means 0.2.
-	PMut float64
-	// Elite is the number of elites; zero means 2.
-	Elite int
-}
+type GA struct{}
+
+// GA settings.
+const (
+	gaPop   = 24  // population size
+	gaPMut  = 0.2 // per-gene mutation probability
+	gaElite = 2   // elites copied unchanged
+)
 
 // NewGA returns a GA calibrator with default settings.
 func NewGA() *GA { return &GA{} }
@@ -36,33 +36,21 @@ func (g *GA) Calibrate(obj Objective, lo, hi []float64, budget int, rng *rand.Ra
 // the previous generation, so deferring evaluation to the cohort boundary
 // changes nothing about the trajectory.
 func (g *GA) CalibrateBatch(obj BatchObjective, lo, hi []float64, budget int, rng *rand.Rand) ([]float64, float64) {
-	pop := g.PopSize
-	if pop == 0 {
-		pop = 24
-	}
-	pmut := g.PMut
-	if pmut == 0 {
-		pmut = 0.2
-	}
-	elite := g.Elite
-	if elite == 0 {
-		elite = 2
-	}
 	evals := 0
-	xs := make([][]float64, 0, pop)
-	fs := make([]float64, 0, pop)
-	for i := 0; i < pop; i++ {
+	xs := make([][]float64, 0, gaPop)
+	fs := make([]float64, 0, gaPop)
+	for i := 0; i < gaPop; i++ {
 		xs = append(xs, uniformBox(rng, lo, hi))
 	}
 	fs = obj(xs, fs[:0])
 	evals += len(xs)
-	cur := make([]scored, pop)
+	cur := make([]scored, gaPop)
 	for i := range cur {
 		cur[i] = scored{xs[i], fs[i]}
 	}
 	sortScored(cur)
 	tournament := func() []float64 {
-		a, b := cur[rng.Intn(pop)], cur[rng.Intn(pop)]
+		a, b := cur[rng.Intn(gaPop)], cur[rng.Intn(gaPop)]
 		if a.f < b.f {
 			return a.x
 		}
@@ -70,11 +58,11 @@ func (g *GA) CalibrateBatch(obj BatchObjective, lo, hi []float64, budget int, rn
 	}
 	const alpha = 0.3 // BLX-α expansion
 	for evals < budget {
-		next := make([]scored, 0, pop)
-		for i := 0; i < elite && i < len(cur); i++ {
+		next := make([]scored, 0, gaPop)
+		for i := 0; i < gaElite && i < len(cur); i++ {
 			next = append(next, scored{cloneVec(cur[i].x), cur[i].f})
 		}
-		nchild := pop - len(next)
+		nchild := gaPop - len(next)
 		if nchild > budget-evals {
 			nchild = budget - evals
 		}
@@ -89,7 +77,7 @@ func (g *GA) CalibrateBatch(obj BatchObjective, lo, hi []float64, budget int, rn
 				}
 				span := b - a
 				child[j] = a - alpha*span + rng.Float64()*(span+2*alpha*span)
-				if rng.Float64() < pmut {
+				if rng.Float64() < gaPMut {
 					child[j] += rng.NormFloat64() * (hi[j] - lo[j]) / 10
 				}
 			}

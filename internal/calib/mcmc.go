@@ -7,15 +7,13 @@ import (
 
 // MCMC is random-walk Metropolis sampling of the likelihood implied by the
 // RMSE objective (Gaussian noise assumption), reporting the best state
-// visited — the standard use of MCMC calibrators as optimizers.
-type MCMC struct {
-	// StepFrac is the proposal σ as a fraction of the box width; zero
-	// means 0.1.
-	StepFrac float64
-	// Temp scales the acceptance criterion; zero means adaptive (set to
-	// the initial objective value / 10).
-	Temp float64
-}
+// visited — the standard use of MCMC calibrators as optimizers. Proposals
+// have σ = 0.1 of the box width, and the acceptance temperature is the
+// initial objective value / 10.
+type MCMC struct{}
+
+// mcmcStepFrac is the Metropolis proposal σ as a fraction of the box width.
+const mcmcStepFrac = 0.1
 
 // NewMCMC returns the Metropolis calibrator.
 func NewMCMC() *MCMC { return &MCMC{} }
@@ -25,21 +23,14 @@ func (*MCMC) Name() string { return "MCMC" }
 
 // Calibrate implements Calibrator.
 func (m *MCMC) Calibrate(obj Objective, lo, hi []float64, budget int, rng *rand.Rand) ([]float64, float64) {
-	step := m.StepFrac
-	if step == 0 {
-		step = 0.1
-	}
 	cur := uniformBox(rng, lo, hi)
 	curF := obj(cur)
 	best, bestF := cloneVec(cur), curF
-	temp := m.Temp
-	if temp == 0 {
-		temp = math.Max(curF/10, 1e-9)
-	}
+	temp := math.Max(curF/10, 1e-9)
 	for i := 1; i < budget; i++ {
 		prop := cloneVec(cur)
 		for j := range prop {
-			prop[j] += rng.NormFloat64() * step * (hi[j] - lo[j])
+			prop[j] += rng.NormFloat64() * mcmcStepFrac * (hi[j] - lo[j])
 		}
 		clampBox(prop, lo, hi)
 		f := obj(prop)
@@ -54,12 +45,9 @@ func (m *MCMC) Calibrate(obj Objective, lo, hi []float64, budget int, rng *rand.
 }
 
 // SA is simulated annealing: Metropolis acceptance under a geometrically
-// cooled temperature with shrinking proposal steps.
-type SA struct {
-	// Cooling is the per-step temperature multiplier; zero means a rate
-	// chosen so the temperature decays by ~1e3 over the budget.
-	Cooling float64
-}
+// cooled temperature with shrinking proposal steps. The per-step cooling
+// rate makes the temperature decay by ~1e3 over the budget.
+type SA struct{}
 
 // NewSA returns the simulated-annealing calibrator.
 func NewSA() *SA { return &SA{} }
@@ -73,10 +61,7 @@ func (s *SA) Calibrate(obj Objective, lo, hi []float64, budget int, rng *rand.Ra
 	curF := obj(cur)
 	best, bestF := cloneVec(cur), curF
 	temp := math.Max(curF/2, 1e-9)
-	cool := s.Cooling
-	if cool == 0 {
-		cool = math.Pow(1e-3, 1/math.Max(float64(budget), 2))
-	}
+	cool := math.Pow(1e-3, 1/math.Max(float64(budget), 2))
 	for i := 1; i < budget; i++ {
 		frac := float64(i) / float64(budget)
 		stepScale := 0.25 * (1 - 0.9*frac) // steps shrink as we cool

@@ -1,9 +1,9 @@
 package calib
 
-// Posterior retention (DESIGN.md §15): the MCMC-family calibrators (DREAM,
-// DE-MCz) optionally record post-burn-in chain states into a bounded,
-// deterministic reservoir so a calibration run yields not just a point
-// estimate but a parameter ensemble for uncertainty forecasting.
+// Posterior retention (DESIGN.md §15): DREAM optionally records
+// post-burn-in chain states into a bounded, deterministic reservoir so a
+// calibration run yields not just a point estimate but a parameter
+// ensemble for uncertainty forecasting.
 //
 // Two hard constraints shape the recorder:
 //

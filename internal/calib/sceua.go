@@ -10,13 +10,8 @@ import (
 // 1994]: the population is partitioned into complexes, each complex evolves
 // independently through competitive simplex (CCE) steps on triangularly
 // weighted sub-simplexes, and complexes are periodically shuffled back
-// together.
-type SCEUA struct {
-	// Complexes is the number of complexes p; zero means 4.
-	Complexes int
-	// PerComplex is the complex size m; zero means 2d+1.
-	PerComplex int
-}
+// together. It runs p = 4 complexes of m = 2d+1 members each.
+type SCEUA struct{}
 
 // NewSCEUA returns the SCE-UA calibrator.
 func NewSCEUA() *SCEUA { return &SCEUA{} }
@@ -52,14 +47,7 @@ type cceState struct {
 // so the budget accounting matches the scalar contract exactly.
 func (s *SCEUA) CalibrateBatch(obj BatchObjective, lo, hi []float64, budget int, rng *rand.Rand) ([]float64, float64) {
 	d := len(lo)
-	p := s.Complexes
-	if p == 0 {
-		p = 4
-	}
-	m := s.PerComplex
-	if m == 0 {
-		m = 2*d + 1
-	}
+	p, m := 4, 2*d+1 // complexes, complex size
 	evals := 0
 	n0 := p * m
 	if n0 > budget {

@@ -34,8 +34,8 @@ import (
 // hardware; the paper-scale configuration is expressible through the same
 // fields.
 type Config struct {
-	// GP holds the TAG3P parameters. Priors and InitParamsAtMean are set
-	// by Run from the Table III constants.
+	// GP holds the TAG3P parameters. Priors are set by Run from the
+	// Table III constants.
 	GP gp.Config
 	// Eval selects the speedup techniques and simulation regime; Sim's
 	// initial biomasses are set by Run from the training observations.
@@ -48,8 +48,6 @@ type Config struct {
 	TopK int
 	// Extensions is the plausible-revision spec; nil means Table II.
 	Extensions []grammar.Extension
-	// Constants are the parameter priors; nil means Table III.
-	Constants []bio.Constant
 	// PreCalibrateBudget is the objective-evaluation budget of the
 	// calibration pass that produces the revision's starting parameter
 	// values (model revision receives "the initial model structure and
@@ -78,9 +76,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Extensions == nil {
 		c.Extensions = grammar.DefaultExtensions()
-	}
-	if c.Constants == nil {
-		c.Constants = bio.DefaultConstants()
 	}
 	return c
 }
@@ -128,13 +123,13 @@ func prepare(ds *dataset.Dataset, cfg Config) (*runSetup, error) {
 	if err != nil {
 		return nil, err
 	}
-	priors := make([]gp.Prior, len(cfg.Constants))
-	for i, c := range cfg.Constants {
+	consts := bio.DefaultConstants()
+	priors := make([]gp.Prior, len(consts))
+	for i, c := range consts {
 		priors[i] = gp.Prior{Mean: c.Mean, Min: c.Min, Max: c.Max}
 	}
 	gpCfg := cfg.GP
 	gpCfg.Priors = priors
-	gpCfg.InitParamsAtMean = true
 
 	evalOpts := cfg.Eval
 	evalOpts.Sim.Phy0 = ds.ObsPhy[0]
@@ -155,7 +150,7 @@ func prepare(ds *dataset.Dataset, cfg Config) (*runSetup, error) {
 		}
 		s.precal = obj
 	}
-	s.lo, s.hi = calib.Box(cfg.Constants)
+	s.lo, s.hi = calib.Box(consts)
 	s.budget = cfg.PreCalibrateBudget
 	if s.budget == 0 {
 		s.budget = 3000
@@ -168,8 +163,8 @@ func prepare(ds *dataset.Dataset, cfg Config) (*runSetup, error) {
 // per-run state, and sharing them would let earlier runs truncate later
 // runs' evaluations against a foreign best (turning their reported
 // fitnesses into boundary-hugging surrogates).
-func (s *runSetup) newEvaluator(ds *dataset.Dataset, cfg Config) *evalx.Evaluator {
-	return evalx.New(ds.TrainForcing(), ds.TrainObsPhy(), cfg.Constants, s.evalOpts)
+func (s *runSetup) newEvaluator(ds *dataset.Dataset) *evalx.Evaluator {
+	return evalx.New(ds.TrainForcing(), ds.TrainObsPhy(), bio.DefaultConstants(), s.evalOpts)
 }
 
 // calibrate pre-calibrates run (or island) idx's starting parameters and
@@ -202,10 +197,10 @@ func Run(ds *dataset.Dataset, cfg Config) (*Result, error) {
 }
 
 // RunContext is Run with graceful cancellation: when ctx is cancelled the
-// in-flight evolutionary run stops at its next generation barrier (via the
-// engine hook), no further runs start, and the models evolved so far are
-// post-processed into a partial Result. Cancellation before any model
-// exists returns ctx's error.
+// in-flight evolutionary run stops after the generation in progress, no
+// further runs start, and the models evolved so far are post-processed
+// into a partial Result. Cancellation before any model exists returns
+// ctx's error.
 func RunContext(ctx context.Context, ds *dataset.Dataset, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	s, err := prepare(ds, cfg)
@@ -216,23 +211,17 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, cfg Config) (*Result, 
 	res := &Result{}
 	var pool []*gp.Individual
 	for run := 0; run < cfg.Runs && ctx.Err() == nil; run++ {
-		ev := s.newEvaluator(ds, cfg)
+		ev := s.newEvaluator(ds)
 		runCfg := s.gpCfg
 		runCfg.Seed = s.gpCfg.Seed + int64(run)*1009
 		runCfg.Tracer = cfg.Tracer
 		runCfg = s.calibrate(run, runCfg)
-		runCfg.Hook = func(int, []*gp.Individual, *gp.Individual) error {
-			if ctx.Err() != nil {
-				return gp.ErrStopRun
-			}
-			return nil
-		}
 		eng, err := gp.NewEngine(s.g, ev, runCfg)
 		if err != nil {
 			return nil, err
 		}
 		registerRunObs(cfg.Obs, run, eng, ev)
-		r, err := eng.Run()
+		r, err := evolve(ctx, eng)
 		if err != nil {
 			return nil, err
 		}
@@ -246,6 +235,24 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, cfg Config) (*Result, 
 		return nil, ctx.Err()
 	}
 	return finalize(ds, cfg, s.evalOpts, pool, res)
+}
+
+// evolve steps eng through its generations, stopping after the generation
+// in which ctx is cancelled, and returns the result so far.
+func evolve(ctx context.Context, eng *gp.Engine) (*gp.Result, error) {
+	if err := eng.Start(); err != nil {
+		return nil, err
+	}
+	defer eng.Close()
+	for !eng.Done() {
+		if err := eng.StepGen(); err != nil {
+			return nil, err
+		}
+		if ctx.Err() != nil {
+			break
+		}
+	}
+	return eng.Result(), nil
 }
 
 // IslandOptions configures RunIslands' orchestration layer.
@@ -295,7 +302,7 @@ func RunIslands(ctx context.Context, ds *dataset.Dataset, cfg Config, opts Islan
 		GP:             s.gpCfg,
 		Grammar:        s.g,
 		NewEvaluator: func(int) gp.Evaluator {
-			ev := s.newEvaluator(ds, cfg) // called sequentially by New
+			ev := s.newEvaluator(ds) // called sequentially by New
 			evals = append(evals, ev)
 			return ev
 		},
@@ -392,8 +399,9 @@ func finalize(ds *dataset.Dataset, cfg Config, evalOpts evalx.Options, pool []*g
 	}
 	rankedModels := make([]ranked, 0, len(candidates))
 	bestTrain := math.Inf(1)
+	consts := bio.DefaultConstants()
 	for _, ind := range candidates {
-		m, err := evalx.Compile(ind, cfg.Constants)
+		m, err := evalx.Compile(ind, consts)
 		if err != nil {
 			continue
 		}
@@ -582,7 +590,7 @@ func ManualIndividual(cfg Config) (*gp.Individual, *tag.Grammar, error) {
 		return nil, nil, err
 	}
 	root := &tag.DerivNode{Elem: g.Alphas[0]}
-	return gp.NewIndividual(root, bio.Means(cfg.Constants)), g, nil
+	return gp.NewIndividual(root, bio.Means(bio.DefaultConstants())), g, nil
 }
 
 // registerRunObs publishes run-scoped observability series for a

@@ -1,14 +1,18 @@
 package core
 
 import (
+	"context"
 	"math"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"gmr/internal/bio"
 	"gmr/internal/dataset"
 	"gmr/internal/evalx"
 	"gmr/internal/gp"
 	"gmr/internal/metrics"
+	"gmr/internal/obs"
 )
 
 // smallDS generates a 4-year dataset once per test binary.
@@ -158,6 +162,42 @@ func TestMultipleRunsPoolModels(t *testing.T) {
 	// cut, so allow equality failure only when the pool is truncated.
 	if len(res.TopModels) < 10 && bestPool > bestRun {
 		t.Errorf("pooled best train fitness %v worse than run best %v", bestPool, bestRun)
+	}
+}
+
+// TestRunContextStopsAfterCancelledGeneration cancels the context while
+// the third generation of the first of two runs is in progress: the run
+// completes that generation and stops, the second run never starts, and
+// the partial result is post-processed.
+func TestRunContextStopsAfterCancelledGeneration(t *testing.T) {
+	ds := smallDS(t)
+	const stopAt = 3
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var variations atomic.Int64
+	cfg := smallCfg(4)
+	cfg.Runs = 2
+	cfg.GP.PopSize = 16
+	cfg.GP.MaxGen = 20
+	cfg.PreCalibrateBudget = 40
+	cfg.Tracer = obs.NewTracer(obs.TracerConfig{SlowThreshold: time.Nanosecond, SlowLog: func(r obs.SpanRecord) {
+		if r.Name == "gp.variation" && variations.Add(1) == stopAt {
+			cancel()
+		}
+	}})
+	res, err := RunContext(ctx, ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.PerRun) != 1 {
+		t.Fatalf("%d runs started, want 1", len(res.PerRun))
+	}
+	r := res.PerRun[0]
+	if got := len(r.History); got != stopAt+1 {
+		t.Errorf("history has %d entries, want %d (init + %d generations)", got, stopAt+1, stopAt)
+	}
+	if r.Best == nil || len(r.Final) != cfg.GP.PopSize || res.Best == nil {
+		t.Error("partial result incomplete")
 	}
 }
 

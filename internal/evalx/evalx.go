@@ -46,25 +46,6 @@ import (
 	"gmr/internal/obs"
 )
 
-// Extrapolate estimates the final fitness from the intermediate fitness
-// after i of n fitness cases (Algorithm 1's EXTRAPOLATE).
-type Extrapolate func(intermediate float64, i, n int) float64
-
-// RunningRMSE is the default extrapolation: the running RMSE over the
-// cases seen so far is already an estimate of the final RMSE, so it is
-// returned unchanged.
-func RunningRMSE(intermediate float64, i, n int) float64 { return intermediate }
-
-// Pessimistic inflates the running RMSE by the square root of the fraction
-// of cases remaining, modeling error accumulation over the un-simulated
-// horizon; it short-circuits more eagerly.
-func Pessimistic(intermediate float64, i, n int) float64 {
-	if i+1 >= n {
-		return intermediate
-	}
-	return intermediate * math.Sqrt(float64(n)/float64(i+1))
-}
-
 // Options selects the speedups and the simulation regime.
 type Options struct {
 	// UseCache enables the two-tier tree cache (structure tier +
@@ -75,13 +56,6 @@ type Options struct {
 	// Threshold is Algorithm 1's eagerness knob: intermediate fitness is
 	// compared against bestPrevFull×Threshold. Zero means 1.0.
 	Threshold float64
-	// MinFrac is the fraction of fitness cases that must be simulated
-	// before short-circuiting may trigger: the running RMSE over the
-	// first few days is dominated by the spin-up transient and is a
-	// noisy estimate of the final fitness. Zero means 0.1.
-	MinFrac float64
-	// Extrap is Algorithm 1's EXTRAPOLATE; nil means RunningRMSE.
-	Extrap Extrapolate
 	// UseCompile selects runtime compilation onto the segmented register
 	// VM (DESIGN.md §10) over tree interpretation. With UseCache the
 	// compiled structure and its hoisted exogenous plan are reused across
@@ -132,12 +106,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Threshold == 0 {
 		o.Threshold = 1.0
-	}
-	if o.MinFrac == 0 {
-		o.MinFrac = 0.1
-	}
-	if o.Extrap == nil {
-		o.Extrap = RunningRMSE
 	}
 	return o
 }

@@ -24,7 +24,7 @@ func TestLaneBatchShortCircuits(t *testing.T) {
 	opts := Options{UseCache: true, UseCompile: true, Simplify: true, UseShortCircuit: true, Sim: simCfg(obs)}
 	ev := New(forcing, obs, consts, opts)
 	// A committed reference far below any reachable RMSE forces every
-	// member's running RMSE above it as soon as MinFrac cases are in.
+	// member's running RMSE above it as soon as minFrac of the cases are in.
 	ev.SetShortCircuitRef(1e-9)
 
 	rng := rand.New(rand.NewSource(41))

@@ -15,6 +15,12 @@ import (
 // The lane kernel delivers bitwise-identical per-day values, so a member
 // scored in a lane launch gets exactly the fitness the scalar path gives.
 
+// minFrac is the fraction of fitness cases that must be simulated before
+// short-circuiting may trigger: the running RMSE over the first few days is
+// dominated by the spin-up transient and is a noisy estimate of the final
+// fitness.
+const minFrac = 0.1
+
 // scoring is Algorithm 1's per-call context, shared by every member scored
 // in one call.
 type scoring struct {
@@ -23,8 +29,7 @@ type scoring struct {
 	// short-circuiting is off) disables the short circuit.
 	best      float64
 	threshold float64
-	minSteps  int // the MinFrac gate, in fitness cases
-	extrap    Extrapolate
+	minSteps  int // the minFrac gate, in fitness cases
 	// done is the scalar path's per-evaluation deadline; nil when off.
 	done <-chan struct{}
 }
@@ -34,8 +39,7 @@ func (e *Evaluator) newScoring() scoring {
 		obs:       e.obs,
 		best:      math.Inf(1),
 		threshold: e.opts.Threshold,
-		minSteps:  int(e.opts.MinFrac * float64(len(e.obs))),
-		extrap:    e.opts.Extrap,
+		minSteps:  int(minFrac * float64(len(e.obs))),
 	}
 	if e.opts.UseShortCircuit {
 		s.best = math.Float64frombits(e.frozenBits.Load())
@@ -71,9 +75,9 @@ type member struct {
 // step folds day t's simulated phytoplankton biomass into m and reports
 // whether the simulation should go on. It applies the injected NaN poison,
 // stops on a non-finite state, accumulates the SSE, polls the scalar
-// deadline every 32 fitness cases, and short-circuits once MinFrac of the
-// cases are in and the extrapolated final fitness cannot beat the
-// reference.
+// deadline every 32 fitness cases, and short-circuits once minFrac of the
+// cases are in and the running RMSE — Algorithm 1's EXTRAPOLATE, taken as
+// the estimate of the final fitness — cannot beat the reference.
 func (m *member) step(s *scoring, t int, bphy float64) bool {
 	if t == m.poison {
 		bphy = math.NaN()
@@ -104,11 +108,9 @@ func (m *member) step(s *scoring, t int, bphy float64) bool {
 		return true
 	}
 	fitness := math.Sqrt(m.sse / float64(t+1))
-	if fitness > s.best*s.threshold {
-		if est := s.extrap(fitness, t, len(s.obs)); est > s.best {
-			m.fitness, m.scd = est, true
-			return false // short circuit (a lane compacts away)
-		}
+	if fitness > s.best*s.threshold && fitness > s.best {
+		m.fitness, m.scd = fitness, true
+		return false // short circuit (a lane compacts away)
 	}
 	return true
 }

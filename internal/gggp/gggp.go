@@ -53,24 +53,31 @@ func (ind *Individual) invalidate() {
 	ind.Evaluated = false
 }
 
+// GGGP settings fixed by Appendix B (the GMR configuration); no caller
+// varies them.
+const (
+	// maxDepth bounds slot-expression depth.
+	maxDepth = 5
+	// tournamentSize is the selection tournament size.
+	tournamentSize = 5
+	// eliteSize individuals are copied unchanged into the next generation.
+	eliteSize = 2
+)
+
+// Operator probabilities (paper: 0.3/0.3/0.3/0.1). They are variables,
+// not constants, because Run adds them in float64 at run time: the sum is
+// 0.9999999999999999 and the second partial sum 0.8999999999999999, where
+// untyped constant arithmetic would give exactly 1 and 0.9 and move the
+// selection thresholds.
+var pCrossover, pSubtreeMut, pGaussMut, pReplication = 0.3, 0.3, 0.3, 0.1
+
 // Config holds the GGGP settings (Appendix B: same configuration as GMR,
 // with a 6× population compensating for GMR's local-search evaluations).
+// Revisions follow the Table II spec and parameters the Table III priors;
+// the Gaussian-mutation σ ramps down over the final MaxGen/4 generations.
 type Config struct {
 	PopSize, MaxGen int
-	// MaxDepth bounds slot-expression depth; zero means 5.
-	MaxDepth int
-	// Operator probabilities; zero-valued set defaults to the paper's
-	// 0.3/0.3/0.3/0.1.
-	PCrossover, PSubtreeMut, PGaussMut, PReplication float64
-	TournamentSize, EliteSize                        int
-	// SigmaRampGens ramps Gaussian-mutation σ in the final generations;
-	// zero means MaxGen/4.
-	SigmaRampGens int
-	Seed          int64
-	// Extensions is the Table II revision spec; nil means defaults.
-	Extensions []grammar.Extension
-	// Constants are the Table III priors; nil means defaults.
-	Constants []bio.Constant
+	Seed            int64
 	// InitParams, when non-nil, is the starting parameter vector for
 	// every individual (e.g. pre-calibrated values — the same input the
 	// GMR framework receives). Nil means the Table III means.
@@ -83,27 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxGen == 0 {
 		c.MaxGen = 100
-	}
-	if c.MaxDepth == 0 {
-		c.MaxDepth = 5
-	}
-	if c.PCrossover == 0 && c.PSubtreeMut == 0 && c.PGaussMut == 0 && c.PReplication == 0 {
-		c.PCrossover, c.PSubtreeMut, c.PGaussMut, c.PReplication = 0.3, 0.3, 0.3, 0.1
-	}
-	if c.TournamentSize == 0 {
-		c.TournamentSize = 5
-	}
-	if c.EliteSize == 0 {
-		c.EliteSize = 2
-	}
-	if c.SigmaRampGens == 0 {
-		c.SigmaRampGens = c.MaxGen / 4
-	}
-	if c.Extensions == nil {
-		c.Extensions = grammar.DefaultExtensions()
-	}
-	if c.Constants == nil {
-		c.Constants = bio.DefaultConstants()
 	}
 	return c
 }
@@ -218,8 +204,9 @@ func Run(cfg Config, fitness func(phy, zoo *expr.Node, params []float64) float64
 		return nil, fmt.Errorf("gggp: fitness function required")
 	}
 	rng := stats.NewRand(cfg.Seed)
-	exts := cfg.Extensions
-	means := bio.Means(cfg.Constants)
+	exts := grammar.DefaultExtensions()
+	consts := bio.DefaultConstants()
+	means := bio.Means(consts)
 	if cfg.InitParams != nil {
 		means = append([]float64(nil), cfg.InitParams...)
 	}
@@ -242,7 +229,7 @@ func Run(cfg Config, fitness func(phy, zoo *expr.Node, params []float64) float64
 		n := rng.Intn(3)
 		for i := 0; i < n; i++ {
 			e := exts[rng.Intn(len(exts))]
-			ind.Slots[e.ID] = growExpr(rng, e, 1+rng.Intn(cfg.MaxDepth-1))
+			ind.Slots[e.ID] = growExpr(rng, e, 1+rng.Intn(maxDepth-1))
 		}
 		return ind
 	}
@@ -261,7 +248,7 @@ func Run(cfg Config, fitness func(phy, zoo *expr.Node, params []float64) float64
 	}
 	tournament := func() *Individual {
 		b := pop[rng.Intn(len(pop))]
-		for i := 1; i < cfg.TournamentSize; i++ {
+		for i := 1; i < tournamentSize; i++ {
 			c := pop[rng.Intn(len(pop))]
 			if c.Fitness < b.Fitness {
 				b = c
@@ -271,21 +258,21 @@ func Run(cfg Config, fitness func(phy, zoo *expr.Node, params []float64) float64
 	}
 
 	for gen := 1; gen <= cfg.MaxGen; gen++ {
-		sigma := sigmaScale(gen, cfg.MaxGen, cfg.SigmaRampGens)
+		sigma := sigmaScale(gen, cfg.MaxGen)
 		next := make([]*Individual, 0, cfg.PopSize)
-		for i := 0; i < cfg.EliteSize; i++ {
+		for i := 0; i < eliteSize; i++ {
 			next = append(next, pop[i].Clone())
 		}
 		for len(next) < cfg.PopSize {
-			r := rng.Float64() * (cfg.PCrossover + cfg.PSubtreeMut + cfg.PGaussMut + cfg.PReplication)
+			r := rng.Float64() * (pCrossover + pSubtreeMut + pGaussMut + pReplication)
 			var child *Individual
 			switch {
-			case r < cfg.PCrossover:
+			case r < pCrossover:
 				child = crossover(rng, tournament(), tournament())
-			case r < cfg.PCrossover+cfg.PSubtreeMut:
-				child = subtreeMutate(rng, tournament(), extByID, cfg.MaxDepth)
-			case r < cfg.PCrossover+cfg.PSubtreeMut+cfg.PGaussMut:
-				child = gaussMutate(rng, tournament(), cfg.Constants, sigma)
+			case r < pCrossover+pSubtreeMut:
+				child = subtreeMutate(rng, tournament(), extByID)
+			case r < pCrossover+pSubtreeMut+pGaussMut:
+				child = gaussMutate(rng, tournament(), consts, sigma)
 			default:
 				child = tournament().Clone()
 			}
@@ -334,7 +321,7 @@ func crossover(rng *rand.Rand, a, b *Individual) *Individual {
 }
 
 // subtreeMutate regrows a random subtree (or adds/drops a whole slot).
-func subtreeMutate(rng *rand.Rand, p *Individual, exts map[int]grammar.Extension, maxDepth int) *Individual {
+func subtreeMutate(rng *rand.Rand, p *Individual, exts map[int]grammar.Extension) *Individual {
 	c := p.Clone()
 	c.invalidate()
 	nodes := collectNodes(c)
@@ -393,7 +380,10 @@ func gaussMutate(rng *rand.Rand, p *Individual, consts []bio.Constant, sigma flo
 	return c
 }
 
-func sigmaScale(gen, maxGen, ramp int) float64 {
+// sigmaScale ramps the Gaussian-mutation σ down linearly over the final
+// maxGen/4 generations, from 1 to 0.1.
+func sigmaScale(gen, maxGen int) float64 {
+	ramp := maxGen / 4
 	start := maxGen - ramp
 	if gen < start || ramp <= 0 {
 		return 1

@@ -68,7 +68,7 @@ const PosteriorVersion = 1
 // silently skewing uncertainty bands.
 type BundlePosterior struct {
 	Version int `json:"version"`
-	// Method names the sampler that produced the states ("DREAM", "DE-MCz").
+	// Method names the sampler that produced the states ("DREAM").
 	Method string `json:"method,omitempty"`
 	// Samples are the retained parameter vectors, in retention order.
 	Samples [][]float64 `json:"samples"`

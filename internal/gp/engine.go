@@ -1,7 +1,6 @@
 package gp
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -15,63 +14,55 @@ import (
 	"gmr/internal/tag"
 )
 
-// ErrStopRun, returned by a Config.Hook, stops Run gracefully after the
-// current generation: Run returns the result accumulated so far with a nil
-// error (used for SIGINT-driven early exit that keeps partial progress).
-var ErrStopRun = errors.New("gp: stop run")
+// TAG3P settings fixed by Appendix B of the paper and its journal
+// version; no caller varies them.
+const (
+	// tournamentSize is the selection tournament size.
+	tournamentSize = 5
+	// eliteSize individuals are copied unchanged into the next generation
+	// and are never displaced by migrants.
+	eliteSize = 2
+	// gaussPerParam is the probability that Gaussian mutation perturbs
+	// each individual constant (at least one is always perturbed).
+	gaussPerParam = 0.25
+	// initSizeSlack bounds the initial derivation sizes to
+	// min(MaxSize, MinSize+initSizeSlack): model revision starts from the
+	// knowledge-based process with small random revisions and grows them
+	// under selection, rather than from heavily mutated processes.
+	initSizeSlack = 6
+)
+
+// Operator probabilities (paper: 0.3/0.3/0.3/0.1). They are variables,
+// not constants, because pickOperator adds them in float64 at run time:
+// the sum is 0.9999999999999999 and the second partial sum
+// 0.8999999999999999, where untyped constant arithmetic would give
+// exactly 1 and 0.9 and move the selection thresholds.
+var pCrossover, pSubtreeMut, pGaussMut, pReplication = 0.3, 0.3, 0.3, 0.1
 
 // Config holds the TAG3P parameters (Section III-B2 and Appendix B).
 type Config struct {
 	// PopSize is the population size (paper: 200 for GMR).
 	PopSize int
-	// MaxGen is the number of generations (paper: 100).
+	// MaxGen is the number of generations (paper: 100). The
+	// Gaussian-mutation σ ramps down linearly over the final MaxGen/2
+	// generations (Section III-B3).
 	MaxGen int
 	// MinSize and MaxSize bound derivation-tree sizes (paper: 2, 50).
 	MinSize, MaxSize int
-	// InitMaxSize bounds the *initial* derivation sizes: model revision
-	// starts from the knowledge-based process with small random
-	// revisions and grows them under selection, rather than from
-	// heavily mutated processes. Zero means min(MaxSize, MinSize+6).
-	InitMaxSize int
-	// Operator probabilities (paper: 0.3/0.3/0.3/0.1). They are
-	// normalized if they do not sum to 1.
-	PCrossover, PSubtreeMut, PGaussMut, PReplication float64
-	// TournamentSize for selection (paper: 5).
-	TournamentSize int
-	// EliteSize individuals are copied unchanged (paper: 2).
-	EliteSize int
 	// LocalSearchSteps per offspring (paper: 5); each step proposes an
-	// insertion or deletion with equal probability and keeps it only if
-	// fitness improves (stochastic hill climbing).
+	// insertion, a deletion or a Gaussian parameter move, 1/3 each, and
+	// keeps it only if fitness improves (stochastic hill climbing). The
+	// generation's champion additionally gets 4×LocalSearchSteps
+	// parameter hill-climbing steps after selection: structural revisions
+	// only pay off once the constants co-adapt, so the champion gets an
+	// intensive calibration pass each generation (model calibration inside
+	// model revision).
 	LocalSearchSteps int
-	// SigmaRampGens is the number of final generations over which the
-	// Gaussian-mutation σ is ramped down linearly (Section III-B3);
-	// zero means MaxGen/2.
-	SigmaRampGens int
-	// GaussPerParam is the probability that Gaussian mutation perturbs
-	// each individual constant (at least one is always perturbed); zero
-	// means 0.25.
-	GaussPerParam float64
-	// ParsimonyTieBreak makes tournament selection prefer the smaller
-	// derivation tree when two candidates' fitnesses differ by less than
-	// this relative margin (lexicographic parsimony pressure, a standard
-	// bloat control). Zero disables it.
-	ParsimonyTieBreak float64
-	// EliteRefineSteps is the number of parameter hill-climbing steps
-	// applied to the generation's best individual after selection.
-	// Structural revisions only pay off once the constants co-adapt, so
-	// the champion gets an intensive calibration pass each generation
-	// (model calibration inside model revision). Zero means
-	// 4×LocalSearchSteps; negative disables refinement.
-	EliteRefineSteps int
 	// Priors are the per-parameter Gaussian-mutation priors, aligned
-	// with Individual.Params.
+	// with Individual.Params. Unless InitParams is set, every individual
+	// starts at the prior means (Section III-B3: "In the beginning,
+	// parameters are set to the expected value").
 	Priors []Prior
-	// InitParamsAtMean starts every individual's parameters at the
-	// prior means (Section III-B3: "In the beginning, parameters are
-	// set to the expected value"). When false, parameters initialize
-	// uniformly inside the prior box (used by ablations).
-	InitParamsAtMean bool
 	// InitParams, when non-nil, overrides the initial parameter vector
 	// for every individual (e.g. a pre-calibrated starting point — the
 	// expert parameter values that model revision receives as input
@@ -93,18 +84,10 @@ type Config struct {
 	Seed int64
 	// Workers bounds evaluation parallelism; zero means GOMAXPROCS.
 	Workers int
-	// Hook, when non-nil, is called by Run after every completed
-	// generation with the generation number, the fitness-sorted
-	// population, and the best-ever individual (both read-only). A
-	// non-nil return stops the run: ErrStopRun stops it gracefully
-	// (Run returns the partial result), any other error aborts it.
-	// Callers that need full pause/checkpoint control should drive the
-	// engine through Start/StepGen/Snapshot instead.
-	Hook func(gen int, pop []*Individual, best *Individual) error `json:"-"`
 	// Tracer records per-generation phase spans (gp.variation,
 	// gp.evaluate, gp.refine_elite, gp.init_pop) on the unified
-	// observability plane. Nil disables tracing at zero cost; like Hook
-	// it is runtime wiring, not checkpointable configuration.
+	// observability plane. Nil disables tracing at zero cost; it is
+	// runtime wiring, not checkpointable configuration.
 	Tracer *obs.Tracer `json:"-"`
 }
 
@@ -120,33 +103,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSize == 0 {
 		c.MaxSize = 50
-	}
-	if c.InitMaxSize == 0 {
-		c.InitMaxSize = c.MinSize + 6
-		if c.InitMaxSize > c.MaxSize {
-			c.InitMaxSize = c.MaxSize
-		}
-	}
-	if c.PCrossover == 0 && c.PSubtreeMut == 0 && c.PGaussMut == 0 && c.PReplication == 0 {
-		c.PCrossover, c.PSubtreeMut, c.PGaussMut, c.PReplication = 0.3, 0.3, 0.3, 0.1
-	}
-	if c.TournamentSize == 0 {
-		c.TournamentSize = 5
-	}
-	if c.EliteSize == 0 {
-		c.EliteSize = 2
-	}
-	if c.SigmaRampGens == 0 {
-		c.SigmaRampGens = c.MaxGen / 2
-	}
-	if c.GaussPerParam == 0 {
-		c.GaussPerParam = 0.25
-	}
-	if c.EliteRefineSteps == 0 {
-		c.EliteRefineSteps = 4 * c.LocalSearchSteps
-	}
-	if c.EliteRefineSteps < 0 {
-		c.EliteRefineSteps = 0
 	}
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -418,54 +374,45 @@ func NewEngine(g *tag.Grammar, eval Evaluator, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// initialParams draws a starting parameter vector.
-func (e *Engine) initialParams(rng *rand.Rand) []float64 {
+// initialParams is the starting parameter vector of a drawn individual:
+// InitParams when set, the prior means otherwise.
+func (e *Engine) initialParams() []float64 {
 	if e.cfg.InitParams != nil {
 		return append([]float64(nil), e.cfg.InitParams...)
 	}
 	ps := make([]float64, len(e.cfg.Priors))
 	for i, p := range e.cfg.Priors {
-		if e.cfg.InitParamsAtMean {
-			ps[i] = p.Mean
-		} else {
-			ps[i] = stats.Uniform(rng, p.Min, p.Max)
-		}
+		ps[i] = p.Mean
 	}
 	return ps
 }
 
 // sigmaScale implements the linear ramp-down of mutation σ over the final
-// SigmaRampGens generations, from 1 down to 0.05, so late generations make
+// MaxGen/2 generations, from 1 down to 0.05, so late generations make
 // fine-grained parameter adjustments (Section III-B3).
 func (e *Engine) sigmaScale(gen int) float64 {
-	startRamp := e.cfg.MaxGen - e.cfg.SigmaRampGens
-	if gen < startRamp || e.cfg.SigmaRampGens <= 0 {
+	ramp := e.cfg.MaxGen / 2
+	startRamp := e.cfg.MaxGen - ramp
+	if gen < startRamp || ramp <= 0 {
 		return 1
 	}
-	frac := float64(gen-startRamp) / float64(e.cfg.SigmaRampGens)
+	frac := float64(gen-startRamp) / float64(ramp)
 	return 1 - 0.95*frac
 }
 
 // Run executes the full evolutionary loop of Figure 5 and returns the
 // result. It is deterministic for a fixed Config (including Seed) and
-// evaluator behavior. Run is Start + StepGen×MaxGen + Result with the
-// optional Config.Hook called after every generation.
+// evaluator behavior. Run is Start + StepGen×MaxGen + Result; callers that
+// need to stop early, pause or checkpoint drive the step surface
+// themselves.
 func (e *Engine) Run() (*Result, error) {
 	if err := e.Start(); err != nil {
 		return nil, err
 	}
 	defer e.Close()
-	for e.gen < e.cfg.MaxGen {
+	for !e.Done() {
 		if err := e.StepGen(); err != nil {
 			return nil, err
-		}
-		if e.cfg.Hook != nil {
-			if err := e.cfg.Hook(e.gen, e.pop, e.best); err != nil {
-				if errors.Is(err, ErrStopRun) {
-					break
-				}
-				return nil, err
-			}
 		}
 	}
 	return e.Result(), nil
@@ -490,12 +437,13 @@ func (e *Engine) Start() error {
 			pop = append(pop, seed.Clone())
 		}
 	}
+	initMax := min(cfg.MaxSize, cfg.MinSize+initSizeSlack)
 	for len(pop) < cfg.PopSize {
-		d, err := e.g.RandomDeriv(e.rng.Rand, cfg.MinSize, cfg.InitMaxSize)
+		d, err := e.g.RandomDeriv(e.rng.Rand, cfg.MinSize, initMax)
 		if err != nil {
 			return err
 		}
-		pop = append(pop, NewIndividual(d, e.initialParams(e.rng.Rand)))
+		pop = append(pop, NewIndividual(d, e.initialParams()))
 	}
 	e.evaluatePop(pop, nil)
 	sortByFitness(pop)
@@ -519,7 +467,7 @@ func (e *Engine) StepGen() error {
 	gen := e.gen + 1
 	span := cfg.Tracer.Start("gp.variation")
 	next := make([]*Individual, 0, cfg.PopSize)
-	for i := 0; i < cfg.EliteSize && i < len(pop); i++ {
+	for i := 0; i < eliteSize && i < len(pop); i++ {
 		next = append(next, pop[i].Clone())
 	}
 	var fresh []*Individual
@@ -541,7 +489,7 @@ func (e *Engine) StepGen() error {
 		case opSubtree:
 			fresh = append(fresh, SubtreeMutation(e.rng.Rand, e.g, sel(), cfg.MaxSize))
 		case opGauss:
-			fresh = append(fresh, GaussianMutation(e.rng.Rand, sel(), cfg.Priors, sigma, cfg.GaussPerParam))
+			fresh = append(fresh, GaussianMutation(e.rng.Rand, sel(), cfg.Priors, sigma, gaussPerParam))
 		default: // replication
 			fresh = append(fresh, sel().Clone())
 		}
@@ -582,6 +530,9 @@ func (e *Engine) Close() {
 // Gen returns the number of completed generations (0 after Start).
 func (e *Engine) Gen() int { return e.gen }
 
+// Done reports whether the engine has completed its MaxGen generations.
+func (e *Engine) Done() bool { return e.gen >= e.cfg.MaxGen }
+
 // Population returns the current fitness-sorted population. The slice and
 // its individuals are owned by the engine; callers must not mutate them.
 func (e *Engine) Population() []*Individual { return e.pop }
@@ -615,7 +566,7 @@ func (e *Engine) Result() *Result {
 
 // ReplaceWorst injects clones of the given migrants over the worst
 // individuals of the current population (island-model elite migration), then
-// re-sorts and updates the best-ever individual. At most PopSize-EliteSize
+// re-sorts and updates the best-ever individual. At most PopSize-eliteSize
 // individuals are replaced, so resident elites always survive; migration is
 // deterministic and draws no randomness. It returns the number injected.
 func (e *Engine) ReplaceWorst(migrants []*Individual) int {
@@ -623,7 +574,7 @@ func (e *Engine) ReplaceWorst(migrants []*Individual) int {
 		return 0
 	}
 	n := len(migrants)
-	if max := len(e.pop) - e.cfg.EliteSize; n > max {
+	if max := len(e.pop) - eliteSize; n > max {
 		n = max
 	}
 	if n <= 0 {
@@ -650,15 +601,14 @@ const (
 )
 
 func (e *Engine) pickOperator() operator {
-	c := e.cfg
-	total := c.PCrossover + c.PSubtreeMut + c.PGaussMut + c.PReplication
+	total := pCrossover + pSubtreeMut + pGaussMut + pReplication
 	r := e.rng.Float64() * total
 	switch {
-	case r < c.PCrossover:
+	case r < pCrossover:
 		return opCrossover
-	case r < c.PCrossover+c.PSubtreeMut:
+	case r < pCrossover+pSubtreeMut:
 		return opSubtree
-	case r < c.PCrossover+c.PSubtreeMut+c.PGaussMut:
+	case r < pCrossover+pSubtreeMut+pGaussMut:
 		return opGauss
 	default:
 		return opReplicate
@@ -685,7 +635,7 @@ func (e *Engine) localSearch(ind *Individual, rng *rand.Rand) int {
 		case 1:
 			cand = Deletion(rng, ind, e.cfg.MinSize)
 		default:
-			cand = GaussianMutation(rng, ind, e.cfg.Priors, 0.3, e.cfg.GaussPerParam)
+			cand = GaussianMutation(rng, ind, e.cfg.Priors, 0.3, gaussPerParam)
 		}
 		if cand == nil {
 			continue
@@ -699,28 +649,17 @@ func (e *Engine) localSearch(ind *Individual, rng *rand.Rand) int {
 	return evals
 }
 
-// selectParent runs tournament selection with optional lexicographic
-// parsimony pressure: among near-equal fitnesses, the smaller tree wins.
+// selectParent runs tournament selection: the fittest of tournamentSize
+// uniform draws wins, the earliest draw on ties.
 func (e *Engine) selectParent(pop []*Individual) *Individual {
 	best := pop[e.rng.Intn(len(pop))]
-	for i := 1; i < e.cfg.TournamentSize; i++ {
+	for i := 1; i < tournamentSize; i++ {
 		c := pop[e.rng.Intn(len(pop))]
-		if e.better(c, best) {
+		if c.Fitness < best.Fitness {
 			best = c
 		}
 	}
 	return best
-}
-
-func (e *Engine) better(a, b *Individual) bool {
-	margin := e.cfg.ParsimonyTieBreak
-	if margin > 0 && !math.IsInf(a.Fitness, 0) && !math.IsInf(b.Fitness, 0) {
-		scale := math.Max(math.Abs(a.Fitness), math.Abs(b.Fitness))
-		if math.Abs(a.Fitness-b.Fitness) <= margin*scale {
-			return a.Size() < b.Size()
-		}
-	}
-	return a.Fitness < b.Fitness
 }
 
 // refineElite hill-climbs the constants of the generation's champion with
@@ -737,7 +676,7 @@ func (e *Engine) better(a, b *Individual) bool {
 // in-order sequential adoption. A plain Evaluator runs the sequential
 // hill-climbing chain.
 func (e *Engine) refineElite(ind *Individual, sigma float64) {
-	steps := e.cfg.EliteRefineSteps
+	steps := 4 * e.cfg.LocalSearchSteps
 	if steps <= 0 {
 		return
 	}
@@ -747,7 +686,7 @@ func (e *Engine) refineElite(ind *Individual, sigma float64) {
 	if !batched {
 		for step := 0; step < steps; step++ {
 			scale := sigma * (0.5 - 0.4*float64(step)/float64(steps))
-			cand := GaussianMutation(e.rng.Rand, ind, e.cfg.Priors, scale, e.cfg.GaussPerParam)
+			cand := GaussianMutation(e.rng.Rand, ind, e.cfg.Priors, scale, gaussPerParam)
 			e.safeEvaluate(cand) // panic isolation: +Inf candidates are rejected
 			e.evaluations++
 			if cand.Fitness < ind.Fitness {
@@ -762,7 +701,7 @@ func (e *Engine) refineElite(ind *Individual, sigma float64) {
 		cands = cands[:0]
 		for i := 0; i < n; i++ {
 			scale := sigma * (0.5 - 0.4*float64(done+i)/float64(steps))
-			cands = append(cands, GaussianMutation(e.rng.Rand, ind, e.cfg.Priors, scale, e.cfg.GaussPerParam))
+			cands = append(cands, GaussianMutation(e.rng.Rand, ind, e.cfg.Priors, scale, gaussPerParam))
 		}
 		e.evaluateProposals(be, ind, cands)
 		e.evaluations += n // one evaluation per proposal, as in the sequential chain

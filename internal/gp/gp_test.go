@@ -66,9 +66,8 @@ func (v *valueEvaluator) Evaluate(ind *Individual) {
 func smallConfig(seed int64) Config {
 	return Config{
 		PopSize: 20, MaxGen: 15, MinSize: 1, MaxSize: 12,
-		TournamentSize: 3, EliteSize: 2, LocalSearchSteps: 2,
+		LocalSearchSteps: 2,
 		Priors:           []Prior{{Mean: 0.5, Min: 0, Max: 1}},
-		InitParamsAtMean: true,
 		Seed:             seed,
 		Workers:          1,
 	}
@@ -301,18 +300,19 @@ func TestInsertionDeletionBounds(t *testing.T) {
 }
 
 func TestSigmaRamp(t *testing.T) {
-	cfg := Config{MaxGen: 100, SigmaRampGens: 20}
+	// MaxGen 40 ramps σ over its final 20 generations.
+	cfg := Config{MaxGen: 40}
 	e := &Engine{cfg: cfg.withDefaults()}
 	if s := e.sigmaScale(0); s != 1 {
 		t.Errorf("sigma at gen 0 = %v, want 1", s)
 	}
-	if s := e.sigmaScale(79); s != 1 {
+	if s := e.sigmaScale(19); s != 1 {
 		t.Errorf("sigma before ramp = %v, want 1", s)
 	}
-	if s := e.sigmaScale(100); math.Abs(s-0.05) > 1e-12 {
+	if s := e.sigmaScale(40); math.Abs(s-0.05) > 1e-12 {
 		t.Errorf("sigma at final gen = %v, want 0.05", s)
 	}
-	if a, b := e.sigmaScale(85), e.sigmaScale(95); a <= b {
+	if a, b := e.sigmaScale(25), e.sigmaScale(35); a <= b {
 		t.Errorf("sigma not decreasing through ramp: %v then %v", a, b)
 	}
 }
@@ -370,8 +370,7 @@ func TestInitParamsOverride(t *testing.T) {
 	}
 	// MaxGen 0 defaults to 100 via withDefaults; instead build engine and
 	// check initialParams directly.
-	rng := rand.New(rand.NewSource(1))
-	ps := eng.initialParams(rng)
+	ps := eng.initialParams()
 	if len(ps) != 1 || ps[0] != 0.77 {
 		t.Errorf("initialParams = %v, want [0.77]", ps)
 	}
@@ -386,7 +385,7 @@ func TestEliteRefineOnlyImproves(t *testing.T) {
 	g := testGrammar()
 	ev := &valueEvaluator{target: 3}
 	cfg := smallConfig(5)
-	cfg.EliteRefineSteps = 20
+	cfg.LocalSearchSteps = 5 // 4×5 = 20 refinement steps
 	eng, err := NewEngine(g, ev, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -430,59 +429,6 @@ func TestGaussPerParamSparsity(t *testing.T) {
 	}
 	if totalChanged > 400 {
 		t.Errorf("per-param 0.01 changed %d params over 100 trials; sparsity broken", totalChanged)
-	}
-}
-
-func TestParsimonyTieBreakPrefersSmaller(t *testing.T) {
-	e := &Engine{cfg: Config{ParsimonyTieBreak: 0.05}.withDefaults()}
-	e.cfg.ParsimonyTieBreak = 0.05
-	g := testGrammar()
-	small := makeIndividual(t, g, 1, 1, 2)
-	big := makeIndividual(t, g, 2, 8, 10)
-	small.Fitness, big.Fitness = 1.00, 1.01 // within 5% margin
-	if !e.better(small, big) {
-		t.Error("near-tie should favor the smaller tree")
-	}
-	if e.better(big, small) {
-		t.Error("larger tree won a near-tie")
-	}
-	// Outside the margin, fitness rules.
-	big.Fitness = 0.5
-	if !e.better(big, small) {
-		t.Error("clearly fitter large tree lost")
-	}
-	// Disabled margin: strict fitness ordering.
-	e.cfg.ParsimonyTieBreak = 0
-	big.Fitness = 1.005
-	if e.better(big, small) {
-		t.Error("with parsimony disabled, higher fitness value won")
-	}
-}
-
-func TestParsimonyReducesFinalSize(t *testing.T) {
-	g := testGrammar()
-	run := func(margin float64) float64 {
-		cfg := smallConfig(17)
-		cfg.MaxGen = 20
-		cfg.ParsimonyTieBreak = margin
-		eng, err := NewEngine(g, &valueEvaluator{target: 4}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		total := 0
-		for _, ind := range res.Final {
-			total += ind.Size()
-		}
-		return float64(total) / float64(len(res.Final))
-	}
-	plain := run(0)
-	lean := run(0.1)
-	if lean > plain+1 {
-		t.Errorf("parsimony pressure grew mean size: %v vs %v", lean, plain)
 	}
 }
 

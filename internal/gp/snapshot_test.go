@@ -181,41 +181,6 @@ func TestSnapshotRestoreValidation(t *testing.T) {
 	}
 }
 
-func TestRunHookStopsGracefully(t *testing.T) {
-	g := testGrammar()
-	cfg := smallConfig(4)
-	cfg.MaxGen = 20
-	stopAt := 3
-	var seen []int
-	cfg.Hook = func(gen int, pop []*Individual, best *Individual) error {
-		seen = append(seen, gen)
-		if len(pop) != cfg.PopSize || best == nil {
-			t.Errorf("hook at gen %d: pop %d, best %v", gen, len(pop), best)
-		}
-		if gen >= stopAt {
-			return ErrStopRun
-		}
-		return nil
-	}
-	eng, err := NewEngine(g, &valueEvaluator{target: 5}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != stopAt {
-		t.Errorf("hook called %d times, want %d", len(seen), stopAt)
-	}
-	if got := len(res.History); got != stopAt+1 {
-		t.Errorf("history has %d entries, want %d (init + %d generations)", got, stopAt+1, stopAt)
-	}
-	if res.Best == nil || len(res.Final) != cfg.PopSize {
-		t.Error("partial result incomplete")
-	}
-}
-
 func TestReplaceWorstInjectsMigrants(t *testing.T) {
 	g := testGrammar()
 	cfg := smallConfig(6)
@@ -245,13 +210,13 @@ func TestReplaceWorstInjectsMigrants(t *testing.T) {
 		t.Errorf("best-ever not updated by migrant: %v vs %v", eng.Best().Fitness, migrant.Fitness)
 	}
 	// Elites are never displaced: injecting more migrants than
-	// PopSize-EliteSize is clamped.
+	// PopSize-eliteSize is clamped.
 	many := make([]*Individual, cfg.PopSize+5)
 	for i := range many {
 		many[i] = migrant.Clone()
 	}
-	if n := eng.ReplaceWorst(many); n != cfg.PopSize-eng.cfg.EliteSize {
-		t.Errorf("clamp replaced %d, want %d", n, cfg.PopSize-eng.cfg.EliteSize)
+	if n := eng.ReplaceWorst(many); n != cfg.PopSize-eliteSize {
+		t.Errorf("clamp replaced %d, want %d", n, cfg.PopSize-eliteSize)
 	}
 }
 

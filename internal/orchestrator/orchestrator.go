@@ -168,7 +168,6 @@ func New(cfg Config) (*Orchestrator, error) {
 	for i := 0; i < cfg.Islands; i++ {
 		icfg := cfg.GP
 		icfg.Seed = master.Int63()
-		icfg.Hook = nil // the orchestrator steps engines itself
 		icfg.Tracer = cfg.Tracer
 		if cfg.ConfigureIsland != nil {
 			icfg = cfg.ConfigureIsland(i, icfg)

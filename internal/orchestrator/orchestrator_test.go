@@ -74,9 +74,8 @@ func testConfig(seed int64, maxGen int) Config {
 		Migrants:       1,
 		GP: gp.Config{
 			PopSize: 16, MaxGen: maxGen, MinSize: 1, MaxSize: 12,
-			TournamentSize: 3, EliteSize: 2, LocalSearchSteps: 1,
+			LocalSearchSteps: 1,
 			Priors:           []gp.Prior{{Mean: 0.5, Min: 0, Max: 1}},
-			InitParamsAtMean: true,
 			Seed:             seed,
 			Workers:          2,
 		},

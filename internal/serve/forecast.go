@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"container/list"
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"gmr/internal/bio"
@@ -96,8 +94,8 @@ func (s *Server) resolve(req *ForecastRequest) (*execSpec, string, error) {
 	if req.Days <= 0 {
 		return nil, "bad_request", fmt.Errorf("days must be positive")
 	}
-	if start+req.Days > s.ds.Days {
-		return nil, "bad_request", fmt.Errorf("window [%d,%d) exceeds dataset length %d", start, start+req.Days, s.ds.Days)
+	if req.Days > s.ds.Days-start { // start+req.Days could overflow
+		return nil, "bad_request", fmt.Errorf("window of %d days from day %d exceeds dataset length %d", req.Days, start, s.ds.Days)
 	}
 	for name, v := range req.Overrides {
 		idx, ok := s.varIdx[name]
@@ -231,74 +229,25 @@ type ensOutcome struct {
 	red *ensemble.Reduction
 }
 
-// planCache memoizes hoisted exogenous plans per (model version, window,
-// forcing overrides): the T×k matrix of forcing-only register values is
-// opened once, filled by the first cohort kernel that reaches each block of
-// days, and shared by every cohort over the same scenario window — the
-// serving analogue of the evaluator's tier-1.5 cache. LRU-bounded; a
-// reloaded model changes version, so its stale plans age out naturally.
-// A plan holds its forcing rows until its last block is filled, so an
-// entry for a scenario with overrides keeps its scaled copy of the window
-// until some cohort has simulated the whole window (every cohort does).
-type planCache struct {
-	mu     sync.Mutex
-	cap    int
-	items  map[cohortKey]*list.Element
-	lru    *list.List // front = most recent; values are *planEntry
-	hits   int64
-	misses int64
-}
-
-type planEntry struct {
-	key  cohortKey
-	plan *bio.ExogPlan
-}
-
-func newPlanCache(capacity int) *planCache {
-	return &planCache{cap: capacity, items: map[cohortKey]*list.Element{}, lru: list.New()}
-}
-
-// get returns the cached plan for key, building and inserting it via
-// build on a miss. Build runs under the lock, which keeps the code
-// race-free and single-build: opening a plan evaluates nothing (its rows
-// are filled later by the kernels, outside this lock), so the only window
-// pass left here is copying the rows of a scenario with overrides.
-func (p *planCache) get(key cohortKey, build func() *bio.ExogPlan) *bio.ExogPlan {
-	if p == nil || p.cap <= 0 {
-		return build()
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if el, ok := p.items[key]; ok {
-		p.lru.MoveToFront(el)
-		p.hits++
-		return el.Value.(*planEntry).plan
-	}
-	p.misses++
-	plan := build()
-	p.items[key] = p.lru.PushFront(&planEntry{key: key, plan: plan})
-	for p.lru.Len() > p.cap {
-		el := p.lru.Back()
-		p.lru.Remove(el)
-		delete(p.items, el.Value.(*planEntry).key)
-	}
-	return plan
-}
-
-func (p *planCache) stats() (hits, misses int64, size int) {
-	if p == nil {
-		return 0, 0, 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.hits, p.misses, p.lru.Len()
-}
-
 // planFor resolves the exogenous plan of a cohort: the serving window's
 // forcing rows, with any scenario overrides applied, opened over the
 // model's segmented program.
+//
+// Plans are memoized per (model version, window, forcing overrides): the
+// T×k matrix of forcing-only register values is opened once, filled by the
+// first cohort kernel that reaches each block of days, and shared by every
+// cohort over the same scenario window — the serving analogue of the
+// evaluator's tier-1.5 cache. The plan cache is LRU-bounded; a reloaded
+// model changes version, so its stale plans age out naturally. A plan holds
+// its forcing rows until its last block is filled, so an entry for a
+// scenario with overrides keeps its scaled copy of the window until some
+// cohort has simulated the whole window (every cohort does). The plan is
+// built under the cache lock, which keeps it race-free and single-build:
+// opening a plan evaluates nothing (its rows are filled later by the
+// kernels, outside this lock), so the only window pass left there is
+// copying the rows of a scenario with overrides.
 func (s *Server) planFor(spec *execSpec) *bio.ExogPlan {
-	return s.plans.get(spec.key, func() *bio.ExogPlan {
+	return s.plans.getOrBuild(spec.key, func() *bio.ExogPlan {
 		rows := s.ds.Forcing[spec.key.start : spec.key.start+spec.key.days]
 		if len(spec.overrides) > 0 {
 			scaled := make([][]float64, len(rows))

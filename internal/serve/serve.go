@@ -134,8 +134,8 @@ type Server struct {
 
 	reg       *Registry
 	bat       *batcher
-	plans     *planCache
-	respCache *respCache
+	plans     *lru[cohortKey, *bio.ExogPlan]
+	respCache *lru[respKey, []byte]
 	m         *metricsSet
 	tracer    *obs.Tracer
 	scratch   sync.Pool
@@ -167,8 +167,8 @@ func New(c Config) (*Server, error) {
 		reqTimeout: cfg.RequestTimeout,
 		maxBatch:   cfg.MaxBatch,
 		reg:        reg,
-		plans:      newPlanCache(cfg.PlanCacheSize),
-		respCache:  newRespCache(cfg.CacheSize),
+		plans:      newLRU[cohortKey, *bio.ExogPlan](cfg.PlanCacheSize),
+		respCache:  newLRU[respKey, []byte](cfg.CacheSize),
 		m:          newMetricsSet(cfg.Obs),
 		tracer:     cfg.Tracer,
 		started:    time.Now(),

@@ -145,7 +145,7 @@ func (s *Server) serveForecast(w http.ResponseWriter, r *http.Request, req *Fore
 		return
 	}
 	key := respKeyFor(req, spec, wire)
-	if body := s.respCache.get(key); body != nil {
+	if body, ok := s.respCache.get(key); ok {
 		s.m.countRequest("ok")
 		w.Header().Set("Content-Type", "application/json")
 		_, _ = w.Write(body)

@@ -106,15 +106,19 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatal("response cache recorded no hit")
 	}
 
-	// Error mapping.
+	// Error mapping. A horizon whose end day overflows int is a bad
+	// request, not a panic.
+	start := 5
 	for _, tc := range []struct {
 		req    any
 		status int
+		code   string
 	}{
-		{&ForecastRequest{Days: 0}, http.StatusBadRequest},
-		{&ForecastRequest{Days: 5, Model: "nope"}, http.StatusNotFound},
-		{&ForecastRequest{Days: 5, Model: "foreign"}, http.StatusNotFound},
-		{"not json", http.StatusBadRequest},
+		{&ForecastRequest{Days: 0}, http.StatusBadRequest, "bad_request"},
+		{&ForecastRequest{Start: &start, Days: math.MaxInt}, http.StatusBadRequest, "bad_request"},
+		{&ForecastRequest{Days: 5, Model: "nope"}, http.StatusNotFound, ""},
+		{&ForecastRequest{Days: 5, Model: "foreign"}, http.StatusNotFound, ""},
+		{"not json", http.StatusBadRequest, ""},
 	} {
 		hr, body := postForecast(t, ts.URL, tc.req)
 		if hr.StatusCode != tc.status {
@@ -123,6 +127,9 @@ func TestHTTPEndpoints(t *testing.T) {
 		var eb errorBody
 		if err := json.Unmarshal(body, &eb); err != nil || eb.Code == "" {
 			t.Fatalf("error body %q not coded: %v", body, err)
+		}
+		if tc.code != "" && eb.Code != tc.code {
+			t.Fatalf("req %+v: code %q, want %q", tc.req, eb.Code, tc.code)
 		}
 	}
 

@@ -90,6 +90,7 @@ func TestV2ErrorTable(t *testing.T) {
 		{"days zero", http.MethodPost, "application/json", `{"days":0}`, http.StatusBadRequest, api.CodeBadRequest, ""},
 		{"start and date", http.MethodPost, "application/json", `{"days":7,"start":3,"date":"2000-05-01"}`, http.StatusBadRequest, api.CodeBadRequest, ""},
 		{"window overrun", http.MethodPost, "application/json", `{"days":100000}`, http.StatusBadRequest, api.CodeBadRequest, ""},
+		{"window end overflows", http.MethodPost, "application/json", `{"start":5,"days":9223372036854775807}`, http.StatusBadRequest, api.CodeBadRequest, ""},
 		{"zero members", http.MethodPost, "application/json", `{"days":7,"ensemble":{"members":0}}`, http.StatusBadRequest, api.CodeBadRequest, ""},
 		{"members over cap", http.MethodPost, "application/json", `{"days":7,"ensemble":{"members":4096}}`, http.StatusBadRequest, api.CodeBadRequest, ""},
 		{"quantile zero", http.MethodPost, "application/json", `{"days":7,"ensemble":{"members":4,"quantiles":[0]}}`, http.StatusBadRequest, api.CodeBadRequest, ""},
