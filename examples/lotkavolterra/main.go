@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -169,7 +170,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := eng.Run()
+	res, err := eng.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -221,7 +221,7 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, cfg Config) (*Result, 
 			return nil, err
 		}
 		registerRunObs(cfg.Obs, run, eng, ev)
-		r, err := evolve(ctx, eng)
+		r, err := eng.Run(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -235,24 +235,6 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, cfg Config) (*Result, 
 		return nil, ctx.Err()
 	}
 	return finalize(ds, cfg, s.evalOpts, pool, res)
-}
-
-// evolve steps eng through its generations, stopping after the generation
-// in which ctx is cancelled, and returns the result so far.
-func evolve(ctx context.Context, eng *gp.Engine) (*gp.Result, error) {
-	if err := eng.Start(); err != nil {
-		return nil, err
-	}
-	defer eng.Close()
-	for !eng.Done() {
-		if err := eng.StepGen(); err != nil {
-			return nil, err
-		}
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	return eng.Result(), nil
 }
 
 // IslandOptions configures RunIslands' orchestration layer.

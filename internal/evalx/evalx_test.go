@@ -1,6 +1,7 @@
 package evalx
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -363,7 +364,7 @@ func TestEngineDeterminismAcrossWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.Run()
+		res, err := eng.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

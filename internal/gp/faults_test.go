@@ -1,6 +1,7 @@
 package gp
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestEngineSurvivesEvaluatorPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Run()
+	res, err := eng.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestEngineDeterministicUnderPanics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.Run()
+		res, err := eng.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

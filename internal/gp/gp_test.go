@@ -1,6 +1,7 @@
 package gp
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -80,7 +81,7 @@ func TestEngineConvergesOnToyProblem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Run()
+	res, err := eng.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestEngineDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.Run()
+		res, err := eng.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +127,7 @@ func TestEngineParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.Run()
+		res, err := eng.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +146,7 @@ func TestSizeBoundsRespected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Run()
+	res, err := eng.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,6 +394,8 @@ func TestEliteRefineOnlyImproves(t *testing.T) {
 	ind := makeIndividual(t, g, 8, 2, 5)
 	ev.Evaluate(ind)
 	before := ind.Fitness
+	eng.stopWorkers = eng.startWorkers() // refinement scores proposals on the pool
+	defer eng.Close()
 	eng.refineElite(ind, 1.0)
 	if ind.Fitness > before {
 		t.Errorf("elite refinement worsened fitness: %v → %v", before, ind.Fitness)
@@ -446,7 +449,7 @@ func TestEngineRegisterObs(t *testing.T) {
 		eng.RegisterObs(reg, obs.Labels{"island": strconv.Itoa(i)})
 		engs = append(engs, eng)
 	}
-	if _, err := engs[0].Run(); err != nil {
+	if _, err := engs[0].Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	var buf strings.Builder

@@ -119,7 +119,7 @@ type Evaluator interface {
 }
 
 // BatchResult is the outcome of one member of a parameter-sweep batch
-// (see BatchEvaluator).
+// (see ClusterEvaluator.EvaluateParamBatch).
 type BatchResult struct {
 	// Fitness is the member's training fitness (lower is better).
 	Fitness float64
@@ -128,13 +128,15 @@ type BatchResult struct {
 	Full bool
 }
 
-// BatchEvaluator is optionally implemented by evaluators that can score
-// many parameter vectors against a single individual's structure in one
-// call, amortizing structure resolution and loop-invariant (exogenous)
-// hoisting across the whole sweep (see evalx.EvaluateParamBatch and
-// DESIGN.md §10). The engine uses it to batch champion refinement; plain
-// Evaluators fall back to sequential evaluation.
-type BatchEvaluator interface {
+// ClusterEvaluator is optionally implemented by evaluators that can score
+// many individuals of one structure in one call. The engine's generation
+// loop uses it to partition each population by memoized structure key and
+// dispatch every cluster through the lane-batched kernel (DESIGN.md §14),
+// and champion refinement uses it to batch parameter proposals, amortizing
+// structure resolution and loop-invariant (exogenous) hoisting across the
+// sweep (DESIGN.md §10). The engine scores a plain Evaluator one individual
+// at a time through the same scheduler.
+type ClusterEvaluator interface {
 	Evaluator
 	// EvaluateParamBatch scores ind's structure under each parameter
 	// vector, appending one BatchResult per vector to out and returning
@@ -143,15 +145,6 @@ type BatchEvaluator interface {
 	// behavior), and safe for concurrent calls between BeginBatch and
 	// EndBatch. It must not mutate ind.
 	EvaluateParamBatch(ind *Individual, params [][]float64, out []BatchResult) []BatchResult
-}
-
-// ClusterEvaluator is optionally implemented by batch evaluators that can
-// score whole same-structure clusters of individuals in one call. The
-// engine's generation loop uses it to partition each population by memoized
-// structure key and dispatch every cluster through the lane-batched kernel
-// (DESIGN.md §14); evaluators without it fall back to per-individual jobs.
-type ClusterEvaluator interface {
-	BatchEvaluator
 	// ResolveStruct resolves the individual's executable structure through
 	// the evaluator's structure cache and memoizes the canonical key on the
 	// individual (StructKey), without simulating. It must count exactly the

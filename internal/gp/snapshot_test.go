@@ -1,6 +1,7 @@
 package gp
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -26,11 +27,11 @@ func runStepwise(t *testing.T, seed int64, maxGen, pauseGen int) *Result {
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
-	for eng.Gen() < maxGen {
+	for eng.gen < maxGen {
 		if err := eng.StepGen(); err != nil {
 			t.Fatal(err)
 		}
-		if eng.Gen() == pauseGen {
+		if eng.gen == pauseGen {
 			snap, err := eng.Snapshot()
 			if err != nil {
 				t.Fatal(err)
@@ -111,7 +112,7 @@ func TestStepSurfaceMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1, err := eng1.Run()
+	res1, err := eng1.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestStepSurfaceMatchesRun(t *testing.T) {
 	if err := eng2.Start(); err != nil {
 		t.Fatal(err)
 	}
-	for eng2.Gen() < cfg.MaxGen {
+	for eng2.gen < cfg.MaxGen {
 		if err := eng2.StepGen(); err != nil {
 			t.Fatal(err)
 		}
@@ -194,9 +195,9 @@ func TestReplaceWorstInjectsMigrants(t *testing.T) {
 	defer eng.Close()
 
 	migrant := eng.Population()[0].Clone()
-	migrant.Fitness = eng.Best().Fitness / 2 // strictly better than anything resident
-	if migrant.Fitness == eng.Best().Fitness {
-		migrant.Fitness = eng.Best().Fitness - 1
+	migrant.Fitness = eng.best.Fitness / 2 // strictly better than anything resident
+	if migrant.Fitness == eng.best.Fitness {
+		migrant.Fitness = eng.best.Fitness - 1
 	}
 	n := eng.ReplaceWorst([]*Individual{migrant})
 	if n != 1 {
@@ -206,8 +207,8 @@ func TestReplaceWorstInjectsMigrants(t *testing.T) {
 		t.Errorf("migrant not at head of sorted population: %v vs %v",
 			eng.Population()[0].Fitness, migrant.Fitness)
 	}
-	if eng.Best().Fitness != migrant.Fitness {
-		t.Errorf("best-ever not updated by migrant: %v vs %v", eng.Best().Fitness, migrant.Fitness)
+	if eng.best.Fitness != migrant.Fitness {
+		t.Errorf("best-ever not updated by migrant: %v vs %v", eng.best.Fitness, migrant.Fitness)
 	}
 	// Elites are never displaced: injecting more migrants than
 	// PopSize-eliteSize is clamped.
