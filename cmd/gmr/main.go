@@ -89,6 +89,13 @@ func main() {
 		slowSpan    = flag.Duration("slow-span", 0, "log phase spans slower than this threshold (0 disables; requires -metrics-addr)")
 	)
 	flag.Parse()
+	if *subSteps < 1 {
+		// Training would fall back to bio's default substeps while an
+		// exported bundle's config digest records the raw value.
+		fmt.Fprintln(flag.CommandLine.Output(), "-substeps must be at least 1")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	faults, ferr := faultinject.Parse(*faultSpec)
 	if ferr != nil {

@@ -83,6 +83,9 @@ func runServe(ctx context.Context, args []string, out io.Writer, announce func(a
 	if *modelsDir == "" {
 		return errors.New("-models is required")
 	}
+	if *subSteps < 1 {
+		return errors.New("-substeps must be at least 1")
+	}
 
 	var ds *dataset.Dataset
 	var err error

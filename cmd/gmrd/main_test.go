@@ -228,12 +228,22 @@ func TestServeSmoke(t *testing.T) {
 	}
 }
 
+// TestServeRequiresModelsDir: flag values the daemon cannot serve with are
+// usage errors, reported before any data is loaded.
 func TestServeRequiresModelsDir(t *testing.T) {
-	err := runServe(context.Background(), nil, io.Discard, nil)
-	if err == nil {
-		t.Fatal("runServe without -models succeeded")
-	}
-	if want := "-models is required"; err.Error() != want {
-		t.Fatalf("error %q, want %q", err, want)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "-models is required"},
+		{[]string{"-models", t.TempDir(), "-substeps", "0"}, "-substeps must be at least 1"},
+	} {
+		err := runServe(context.Background(), tc.args, io.Discard, nil)
+		if err == nil {
+			t.Fatalf("runServe %q succeeded", tc.args)
+		}
+		if err.Error() != tc.want {
+			t.Fatalf("runServe %q: error %q, want %q", tc.args, err, tc.want)
+		}
 	}
 }

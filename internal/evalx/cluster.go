@@ -135,7 +135,7 @@ members:
 		off := len(sc.ckeys)
 		sc.ckeys = appendFitKey(sc.ckeys, key, ind.Params)
 		kb := sc.ckeys[off:]
-		site := hashBytes(kb)
+		site := faultinject.HashBytes(kb)
 		// injectPre, with the panic deferred per the protocol (panic
 		// decision before latency, before the tier-2 lookup — the same
 		// order and Hit accounting as the scalar path).

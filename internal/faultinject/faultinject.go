@@ -40,6 +40,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"gmr/internal/fnv"
 )
 
 // Fault enumerates the injectable fault classes.
@@ -302,24 +304,10 @@ func (p InjectedPanic) String() string {
 
 // HashBytes returns the FNV-1a hash of b, the canonical way to derive a
 // site hash from an evaluation key.
-func HashBytes(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
+func HashBytes(b []byte) uint64 { return uint64(fnv.New().Bytes(b)) }
 
 // HashString is HashBytes for strings, without conversion allocation.
-func HashString(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
+func HashString(s string) uint64 { return uint64(fnv.New().Str(s)) }
 
 // HashFloats folds a float64 vector (bit pattern, so ±0 and NaN payloads
 // are distinguished) into a site hash, seeded by base.

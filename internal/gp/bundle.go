@@ -4,11 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
-	"strconv"
 	"time"
 
+	"gmr/internal/fnv"
 	"gmr/internal/tag"
 )
 
@@ -105,22 +104,14 @@ func (p *BundlePosterior) Verify() error {
 // posteriorDigest fingerprints a sample set: count, per-sample dimension,
 // and every value's bit pattern, FNV-1a mixed in order.
 func posteriorDigest(samples [][]float64) string {
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= 1099511628211
-			v >>= 8
-		}
-	}
-	mix(uint64(len(samples)))
+	h := fnv.New().U64(uint64(len(samples)))
 	for _, s := range samples {
-		mix(uint64(len(s)))
+		h = h.U64(uint64(len(s)))
 		for _, v := range s {
-			mix(math.Float64bits(v))
+			h = h.F64(v)
 		}
 	}
-	return strconv.FormatUint(h, 16)
+	return h.Hex()
 }
 
 // NewBundle packages an individual for deployment against the grammar it
@@ -193,22 +184,11 @@ func (b *ModelBundle) Resolve(g *tag.Grammar) (*Individual, error) {
 // code, not data, and are excluded — they only affect random derivation,
 // never decoding.
 func GrammarHash(g *tag.Grammar) string {
-	h := uint64(14695981039346656037)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= 1099511628211
-		}
-		h ^= '|'
-		h *= 1099511628211
-	}
+	h := fnv.New()
 	tree := func(t *tag.ElemTree) {
-		mix(t.Name)
-		mix(t.Kind.String())
-		mix(t.RootSym)
-		mix(t.Root.String())
+		h = h.Field(t.Name).Field(t.Kind.String()).Field(t.RootSym).Field(t.Root.String())
 	}
-	mix("alphas")
+	h = h.Field("alphas")
 	for _, t := range g.Alphas {
 		tree(t)
 	}
@@ -217,9 +197,9 @@ func GrammarHash(g *tag.Grammar) string {
 		syms = append(syms, sym)
 	}
 	sort.Strings(syms)
-	mix("betas")
+	h = h.Field("betas")
 	for _, sym := range syms {
-		mix(sym)
+		h = h.Field(sym)
 		for _, t := range g.Betas[sym] {
 			tree(t)
 		}
@@ -229,9 +209,9 @@ func GrammarHash(g *tag.Grammar) string {
 		lex = append(lex, sym)
 	}
 	sort.Strings(lex)
-	mix("lexemes")
+	h = h.Field("lexemes")
 	for _, sym := range lex {
-		mix(sym)
+		h = h.Field(sym)
 	}
-	return strconv.FormatUint(h, 16)
+	return h.Hex()
 }

@@ -1,43 +1,11 @@
 package serve
 
 import (
-	"math"
 	"sort"
-	"strconv"
 
 	"gmr/internal/bio"
+	"gmr/internal/fnv"
 )
-
-// fnv1a is the running FNV-1a 64 hash used for every digest in this
-// package (config digests, override digests, cohort keys). It is a value
-// type so digests compose without allocation.
-type fnv1a uint64
-
-func newFNV() fnv1a { return 14695981039346656037 }
-
-func (h fnv1a) str(s string) fnv1a {
-	for i := 0; i < len(s); i++ {
-		h ^= fnv1a(s[i])
-		h *= 1099511628211
-	}
-	h ^= '|'
-	h *= 1099511628211
-	return h
-}
-
-func (h fnv1a) u64(v uint64) fnv1a {
-	for i := 0; i < 8; i++ {
-		h ^= fnv1a(v & 0xff)
-		h *= 1099511628211
-		v >>= 8
-	}
-	return h
-}
-
-func (h fnv1a) f64(v float64) fnv1a { return h.u64(math.Float64bits(v)) }
-func (h fnv1a) int(v int) fnv1a     { return h.u64(uint64(int64(v))) }
-
-func (h fnv1a) hex() string { return strconv.FormatUint(uint64(h), 16) }
 
 // ConfigDigest fingerprints the evaluation configuration a forecast
 // depends on: the constant-parameter layout and priors (which fix the
@@ -48,22 +16,22 @@ func (h fnv1a) hex() string { return strconv.FormatUint(uint64(h), 16) }
 // an incompatible configuration; the registry rejects it instead of
 // producing silently-wrong forecasts.
 func ConfigDigest(consts []bio.Constant, sim bio.SimConfig) string {
-	h := newFNV().str("consts").int(len(consts))
+	h := fnv.New().Field("consts").Int(len(consts))
 	for _, c := range consts {
-		h = h.str(c.Name).f64(c.Mean).f64(c.Min).f64(c.Max)
+		h = h.Field(c.Name).F64(c.Mean).F64(c.Min).F64(c.Max)
 	}
-	h = h.str("vars").int(bio.NumVars)
+	h = h.Field("vars").Int(bio.NumVars)
 	for _, s := range bio.StateVars() {
-		h = h.str(s)
+		h = h.Field(s)
 	}
 	for _, v := range bio.Variables() {
-		h = h.str(v.Name)
+		h = h.Field(v.Name)
 	}
-	h = h.str("sim").int(sim.SubSteps).f64(sim.ClampMin).f64(sim.ClampMax)
+	h = h.Field("sim").Int(sim.SubSteps).F64(sim.ClampMin).F64(sim.ClampMax)
 	if sim.ClampDisabled {
-		h = h.str("noclamp")
+		h = h.Field("noclamp")
 	}
-	return h.hex()
+	return h.Hex()
 }
 
 // overridesDigest hashes a scenario-override map (variable or parameter
@@ -78,9 +46,9 @@ func overridesDigest(ov map[string]float64) uint64 {
 		names = append(names, k)
 	}
 	sort.Strings(names)
-	h := newFNV()
+	h := fnv.New()
 	for _, k := range names {
-		h = h.str(k).f64(ov[k])
+		h = h.Field(k).F64(ov[k])
 	}
 	return uint64(h)
 }

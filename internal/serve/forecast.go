@@ -9,6 +9,7 @@ import (
 	"gmr/internal/bio"
 	"gmr/internal/dataset"
 	"gmr/internal/ensemble"
+	"gmr/internal/fnv"
 	"gmr/internal/serve/api"
 )
 
@@ -200,9 +201,9 @@ func resolveEnsemble(model *Model, e *api.EnsembleSpec) (*ensSpec, string, error
 // response-cache keys. Never 0 (the point-forecast sentinel): the member
 // count and quantile set are mixed over a tagged non-empty stream.
 func ensDigest(ens *ensSpec) uint64 {
-	h := newFNV().str("ens").int(len(ens.members)).int(len(ens.quantiles))
+	h := fnv.New().Field("ens").Int(len(ens.members)).Int(len(ens.quantiles))
 	for _, q := range ens.quantiles {
-		h = h.f64(q)
+		h = h.F64(q)
 	}
 	if h == 0 {
 		h = 1

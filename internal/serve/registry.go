@@ -13,6 +13,7 @@ import (
 
 	"gmr/internal/bio"
 	"gmr/internal/evalx"
+	"gmr/internal/fnv"
 	"gmr/internal/gp"
 	"gmr/internal/grammar"
 	"gmr/internal/orchestrator"
@@ -234,18 +235,14 @@ func (r *Registry) Reload() error {
 			}
 			continue
 		}
-		version := newFNV().str(name).u64(uint64(len(blob)))
-		for i := 0; i < len(blob); i++ {
-			version ^= fnv1a(blob[i])
-			version *= 1099511628211
-		}
+		version := fnv.New().Field(name).U64(uint64(len(blob))).Bytes(blob)
 		if prev != nil {
-			if old, ok := prev.models[id]; ok && old.Version == version.hex() {
+			if old, ok := prev.models[id]; ok && old.Version == version.Hex() {
 				next.models[id] = old
 				continue
 			}
 		}
-		next.models[id] = r.load(id, name, path, version.hex(), blob)
+		next.models[id] = r.load(id, name, path, version.Hex(), blob)
 	}
 	ids := make([]string, 0, len(next.models))
 	for id := range next.models {
