@@ -8,7 +8,6 @@
 package calib
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 )
@@ -78,16 +77,6 @@ func All() []Calibrator {
 		NewSCEUA(),
 		NewDEMCZ(),
 	}
-}
-
-// ByName returns the calibrator with the given name.
-func ByName(name string) (Calibrator, error) {
-	for _, c := range All() {
-		if c.Name() == name {
-			return c, nil
-		}
-	}
-	return nil, fmt.Errorf("calib: unknown calibrator %q", name)
 }
 
 // clampBox limits every coordinate to [lo, hi].

@@ -118,22 +118,6 @@ func TestCalibratorDeterminism(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, want := range []string{"GA", "MC", "LHS", "MLE", "MCMC", "SA", "DREAM", "SCE-UA", "DE-MCz"} {
-		c, err := ByName(want)
-		if err != nil {
-			t.Errorf("ByName(%q): %v", want, err)
-			continue
-		}
-		if c.Name() != want {
-			t.Errorf("ByName(%q).Name() = %q", want, c.Name())
-		}
-	}
-	if _, err := ByName("nope"); err == nil {
-		t.Error("unknown name accepted")
-	}
-}
-
 // TestRiverObjectiveCalibrationImprovesOnManual is the Table V shape at
 // small scale: calibrating the manual process must improve dramatically on
 // the uncalibrated Table III means.

@@ -145,17 +145,6 @@ func Reduce(r *RunResult, days int, quantiles []float64) (*Reduction, error) {
 	return red, nil
 }
 
-// Simulate is Run followed by Reduce: the one-call form for callers that
-// don't need per-launch timing or raw trajectories.
-func Simulate(sys *bio.SegSystem, plan *bio.ExogPlan, sim bio.SimConfig, members [][]float64, days int, quantiles []float64, sc *bio.SimScratch) (*Reduction, []MemberFault, error) {
-	run := Run(sys, plan, sim, members, days, sc, nil)
-	red, err := Reduce(run, days, quantiles)
-	if err != nil {
-		return nil, run.Faults, err
-	}
-	return red, run.Faults, nil
-}
-
 // quantileSorted interpolates the q quantile of an ascending slice using
 // h = q·(n-1) between adjacent order statistics (R type 7, numpy default).
 func quantileSorted(s []float64, q float64) float64 {

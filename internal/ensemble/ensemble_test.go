@@ -85,15 +85,17 @@ func TestRunDeterministic(t *testing.T) {
 	members := jittered(consts, 13, 5)
 	qs := []float64{0.05, 0.25, 0.5, 0.75, 0.95}
 
+	simulate := func(sc *bio.SimScratch) (*Reduction, []MemberFault) {
+		run := Run(sys, plan, sim, members, days, sc, nil)
+		red, err := Reduce(run, days, qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return red, run.Faults
+	}
 	var sc1, sc2 bio.SimScratch
-	r1, f1, err := Simulate(sys, plan, sim, members, days, qs, &sc1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, f2, err := Simulate(sys, plan, sim, members, days, qs, &sc2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1, f1 := simulate(&sc1)
+	r2, f2 := simulate(&sc2)
 	if len(f1) != len(f2) {
 		t.Fatalf("fault counts differ: %d vs %d", len(f1), len(f2))
 	}

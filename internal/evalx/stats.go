@@ -210,12 +210,6 @@ func (c *counters) snapshot() Stats {
 	return s
 }
 
-func (c *counters) reset() {
-	for i := range c {
-		c[i].Store(0)
-	}
-}
-
 // quarantineCount counts one quarantined evaluation under reason r
 // (ReasonOK is ignored).
 func (c *counters) quarantineCount(r Reason) {

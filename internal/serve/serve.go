@@ -190,9 +190,6 @@ func (s *Server) Reload() error { return s.reg.Reload() }
 // in-flight and already-admitted requests keep completing.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain or Close has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Close drains the executor: new submissions are refused, queued cohorts
 // are dispatched immediately, and Close returns once every worker has
 // finished. Safe to call more than once.

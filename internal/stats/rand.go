@@ -36,11 +36,6 @@ func TruncGauss(rng *rand.Rand, mean, stddev, lo, hi float64) float64 {
 	return v
 }
 
-// Uniform samples uniformly from [lo, hi).
-func Uniform(rng *rand.Rand, lo, hi float64) float64 {
-	return lo + (hi-lo)*rng.Float64()
-}
-
 // LatinHypercube returns n points in the d-dimensional unit hypercube using
 // Latin hypercube sampling: each dimension is divided into n equal strata and
 // every stratum is hit exactly once, with the stratum order permuted
