@@ -118,9 +118,10 @@ serve-smoke:
 	$(GO) test -run TestServeSmoke -count 1 ./cmd/gmrd/
 
 # examples-smoke runs the Lotka–Volterra example (~4 s) and fails unless
-# its revision recruits the seasonal driver S. It is the only caller that
-# drives gp.Engine through a plain gp.Evaluator (per-individual dispatch and
-# sequential elite refinement), a path no golden file covers.
+# its revision recruits the seasonal driver S. It drives gp.Engine through
+# a plain gp.Evaluator (key-less singletons in the one scheduler, λ = 1
+# elite refinement); TestGoldenPlainEvaluator pins that path in
+# testdata/golden/plain.golden.
 examples-smoke:
 	@out=$$($(GO) run ./examples/lotkavolterra) || exit 1; echo "$$out"; \
 	case "$$out" in *"recruited the seasonal driver S"*) ;; \
