@@ -258,11 +258,13 @@ func TestV2ModelsPosteriorSamples(t *testing.T) {
 }
 
 // TestV2EnsembleDeterministic is the tentpole determinism property: the
-// same ensemble request against servers with Workers=1, Workers=8, and
-// batching disabled returns bitwise-identical bodies — chunking and
-// concurrency are invisible to the bands.
+// same ensemble request against the default server and servers with
+// Workers=1, Workers=8, and batching disabled returns bitwise-identical
+// bodies — chunking and concurrency are invisible to the bands. The
+// inputs are a short ragged ensemble with custom quantiles and a
+// 64-member full-year forecast (eight whole launches).
 func TestV2EnsembleDeterministic(t *testing.T) {
-	bundle := withPosterior(t, testBundle(t, "champion", 0), 16, 99)
+	bundle := withPosterior(t, testBundle(t, "champion", 0), 64, 99)
 	var blob bytes.Buffer
 	if err := bundle.Write(&blob); err != nil {
 		t.Fatal(err)
@@ -273,7 +275,9 @@ func TestV2EnsembleDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := Config{Dataset: testDataset(t), ModelsDir: dir, CacheSize: -1}
-		mod(&cfg)
+		if mod != nil {
+			mod(&cfg)
+		}
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -284,23 +288,61 @@ func TestV2EnsembleDeterministic(t *testing.T) {
 		return ts
 	}
 	servers := []*httptest.Server{
+		build(nil),
 		build(func(c *Config) { c.Workers = 1 }),
 		build(func(c *Config) { c.Workers = 8 }),
 		build(func(c *Config) { c.MaxBatch = 1 }),
 	}
-	const reqBody = `{"days":28,"ensemble":{"members":13,"quantiles":[0.05,0.5,0.95]}}`
-	var first []byte
-	for i, ts := range servers {
-		resp, body := postV2(t, ts, reqBody)
+	for _, reqBody := range []string{
+		`{"days":28,"ensemble":{"members":13,"quantiles":[0.05,0.5,0.95]}}`,
+		`{"days":365,"ensemble":{"members":64}}`,
+	} {
+		var first []byte
+		for i, ts := range servers {
+			resp, body := postV2(t, ts, reqBody)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: server %d: status %d: %s", reqBody, i, resp.StatusCode, body)
+			}
+			if i == 0 {
+				first = body
+				continue
+			}
+			if !bytes.Equal(first, body) {
+				t.Fatalf("%s: server %d body differs from server 0:\n%s\nvs\n%s", reqBody, i, body, first)
+			}
+		}
+	}
+}
+
+// TestV2EnsembleLaneFill: an ensemble packs its members into whole kernel
+// launches, so full-year forecasts at 8, 64 and 256 members keep every
+// member and fill at least 90% of the lanes they launch. The fill is read
+// off the serving lane counters (gmr_serve_lane_{batches,members}_total),
+// as deltas per request on one server.
+func TestV2EnsembleLaneFill(t *testing.T) {
+	const days, minFill = 365, 0.90
+	s, ts := newV2Server(t, 256, nil)
+	for _, members := range []int{8, 64, 256} {
+		batches0, lanes0 := s.m.laneBatches.Value(), s.m.laneMembers.Value()
+		resp, body := postV2(t, ts, fmt.Sprintf(`{"days":%d,"ensemble":{"members":%d}}`, days, members))
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("server %d: status %d: %s", i, resp.StatusCode, body)
+			t.Fatalf("%d members: status %d: %s", members, resp.StatusCode, body)
 		}
-		if i == 0 {
-			first = body
-			continue
+		var fr api.ForecastResponse
+		if err := json.Unmarshal(body, &fr); err != nil {
+			t.Fatalf("%d members: decode: %v", members, err)
 		}
-		if !bytes.Equal(first, body) {
-			t.Fatalf("server %d body differs from server 0:\n%s\nvs\n%s", i, body, first)
+		if fr.Ensemble == nil || fr.Ensemble.Survivors != members {
+			t.Fatalf("%d members: ensemble %+v, want %d survivors", members, fr.Ensemble, members)
+		}
+		batches := s.m.laneBatches.Value() - batches0
+		lanes := s.m.laneMembers.Value() - lanes0
+		if batches == 0 {
+			t.Fatalf("%d members: no kernel launch counted", members)
+		}
+		if fill := float64(lanes) / float64(batches*laneWidth); fill < minFill {
+			t.Errorf("%d members: mean lane fill %.3f (%d members over %d launches) is below %.2f",
+				members, fill, lanes, batches, minFill)
 		}
 	}
 }
