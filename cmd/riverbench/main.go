@@ -8,9 +8,6 @@
 //	riverbench -exp islands [-islands 4] [-checkpoint run.ckpt] [-resume] [-telemetry ISLANDS.jsonl] \
 //	           [-faults "seed=42,panic:0.01,nan:0.01,trunc:0.1"]
 //	riverbench -exp bencheval [-bench-out BENCH_EVAL.json] [-baseline BENCH_EVAL.json]
-//	riverbench -exp servebench [-serve-duration 2s] [-serve-out BENCH_SERVE.json] [-serve-nobatch]
-//	riverbench -exp ensemblebench [-serve-duration 2s] [-serve-out BENCH_SERVE.json] \
-//	           [-serve-baseline BENCH_SERVE.json]
 //	riverbench -exp all
 //
 // Rows are printed in the paper's layout so results can be compared side by
@@ -20,11 +17,8 @@
 // file, once per GOMAXPROCS setting (1 and all CPUs); with -baseline it
 // additionally compares against a committed snapshot and exits non-zero on
 // any >15% ns/op regression or allocs/op increase (`make bench-diff`).
-// -exp servebench load-tests point forecasting; -exp ensemblebench
-// load-tests posterior-ensemble forecasting (sizes 8/64/256) and merges
-// ensemble_* throughput and lane-fill rows into the same BENCH_SERVE.json,
-// failing if mean lane fill drops below 0.90 or band forecasts stop being
-// bitwise identical across worker counts.
+// Serving is measured by the end-to-end benchmark in bench/ (the
+// serve_point workload), not here.
 // -exp islands runs GMR as an island model with elite migration, streaming
 // JSONL telemetry (per-island generation stats, migration events, evaluator
 // cache hit rates) and optionally checkpointing for crash-safe resume.
@@ -47,7 +41,6 @@ import (
 	"strings"
 	"syscall"
 	"text/tabwriter"
-	"time"
 
 	"gmr/internal/experiments"
 	"gmr/internal/faultinject"
@@ -55,7 +48,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "tablev", "experiment: tablev, fig9, fig10, fig11, ablation, islands, bencheval, servebench, ensemblebench, or all")
+		exp      = flag.String("exp", "tablev", "experiment: tablev, fig9, fig10, fig11, ablation, islands, bencheval, or all")
 		scale    = flag.String("scale", "small", "budget scale: small, medium, or paper")
 		seed     = flag.Int64("seed", 1, "master seed (dataset uses seed, methods use derived seeds)")
 		dsSeed   = flag.Int64("data-seed", 7, "synthetic dataset seed")
@@ -63,11 +56,6 @@ func main() {
 		pop      = flag.Int("pop", 60, "fig10 workload size (individuals)")
 		md       = flag.Bool("markdown", false, "emit GitHub-flavored markdown tables (for EXPERIMENTS.md)")
 		benchOut = flag.String("bench-out", "BENCH_EVAL.json", "output path for the -exp bencheval snapshot")
-
-		serveDur     = flag.Duration("serve-duration", 2*time.Second, "servebench: closed-loop load duration per (mode, client-count) level")
-		serveOut     = flag.String("serve-out", "BENCH_SERVE.json", "servebench: output path for the serving-benchmark report")
-		serveNobatch = flag.Bool("serve-nobatch", false, "servebench: run only the batch-size-1 ablation (skips the batched mode and the speedup/identity checks)")
-		serveBase    = flag.String("serve-baseline", "", "ensemblebench: also verify this committed report's ensemble rows still meet the lane-fill and determinism invariants")
 
 		baseline = flag.String("baseline", "", "bencheval: compare against this snapshot and fail on >15% ns/op or any allocs/op regression")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -324,14 +312,6 @@ func main() {
 		runIslands()
 	case "bencheval":
 		if err := runBenchEval(ds, *benchOut, *baseline); err != nil {
-			fatal(err)
-		}
-	case "servebench":
-		if err := runServeBench(ds, *serveOut, *serveDur, *serveNobatch); err != nil {
-			fatal(err)
-		}
-	case "ensemblebench":
-		if err := runEnsembleBench(ds, *serveOut, *serveBase, *serveDur); err != nil {
 			fatal(err)
 		}
 	case "all":
