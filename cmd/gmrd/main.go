@@ -4,7 +4,7 @@
 // (DESIGN.md §12).
 //
 //	gmrd serve -models ./models [-addr :8080] [-data nakdong.csv]
-//	    [-substeps 2] [-max-batch 8] [-batch-window 2ms] [-nobatch]
+//	    [-substeps 2] [-max-batch 8] [-batch-window 2ms]
 //	    [-queue 256] [-workers 0] [-cache 1024] [-plan-cache 128]
 //	    [-request-timeout 10s] [-drain-timeout 10s]
 //
@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"gmr/internal/dataset"
+	"gmr/internal/expr"
 	"gmr/internal/obs"
 	"gmr/internal/serve"
 )
@@ -63,8 +64,7 @@ func runServe(ctx context.Context, args []string, out io.Writer, announce func(a
 		dataSeed  = fs.Int64("data-seed", 7, "seed for the synthetic dataset when -data is empty")
 		subSteps  = fs.Int("substeps", 2, "Euler substeps per day (must match the training regime)")
 
-		maxBatch    = fs.Int("max-batch", 0, "cohort size cap, 1..8 (0 = lane width)")
-		nobatch     = fs.Bool("nobatch", false, "disable micro-batching (every request is a single-lane cohort; ablation baseline)")
+		maxBatch    = fs.Int("max-batch", 0, "cohort size cap, 1..8 (0 = lane width; 1 disables micro-batching)")
 		batchWindow = fs.Duration("batch-window", 2*time.Millisecond, "how long a cohort waits for co-batchable requests")
 		queueSize   = fs.Int("queue", 256, "admission queue bound (full queue sheds with 429)")
 		workers     = fs.Int("workers", 0, "cohort executor pool size (0 = GOMAXPROCS)")
@@ -85,6 +85,9 @@ func runServe(ctx context.Context, args []string, out io.Writer, announce func(a
 	}
 	if *subSteps < 1 {
 		return errors.New("-substeps must be at least 1")
+	}
+	if *maxBatch < 0 || *maxBatch > expr.Lanes {
+		return fmt.Errorf("-max-batch must be between 0 and %d", expr.Lanes)
 	}
 
 	var ds *dataset.Dataset
@@ -135,9 +138,6 @@ func runServe(ctx context.Context, args []string, out io.Writer, announce func(a
 		RequestTimeout: *reqTimeout,
 		Obs:            reg,
 		Tracer:         tracer,
-	}
-	if *nobatch {
-		cfg.MaxBatch = 1
 	}
 	s, err := serve.New(cfg)
 	if err != nil {

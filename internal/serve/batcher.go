@@ -184,7 +184,7 @@ func (b *batcher) dispatchLoop() {
 				return
 			}
 			if b.maxBatch <= 1 {
-				// Batching disabled (the -serve-nobatch ablation): every
+				// Batching disabled (MaxBatch 1, gmrd -max-batch 1): every
 				// request is its own single-lane cohort, dispatched on
 				// arrival through the identical execution path.
 				b.cohorts <- &cohort{key: r.spec.key, reqs: []*pendingReq{r}, sent: true}
