@@ -1,11 +1,10 @@
-# Developer targets: build, vet, test, race-test, fuzzing, chaos tests,
-# benchmarks, and the BENCH_EVAL.json hot-path snapshot. `make check` is
-# the CI gate.
+# Developer targets: build, vet, test, race-test, fuzzing, chaos tests and
+# the per-layer microbenchmarks. `make check` is the CI gate.
 
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all fmt build vet test race fuzz chaos bench bench-smoke bench-module bencheval bench-diff serve-smoke examples-smoke cover-obs check clean
+.PHONY: all fmt build vet test race fuzz chaos bench bench-smoke bench-module serve-smoke examples-smoke cover-obs check clean
 
 all: check
 
@@ -53,16 +52,25 @@ chaos:
 		./internal/evalx/ ./internal/gp/ ./internal/orchestrator/ \
 		./internal/ensemble/ ./internal/serve/
 
-# bench runs the hot-path microbenchmarks with allocation reporting.
-bench:
-	$(GO) test -run xxx -bench . -benchmem ./internal/expr/ ./internal/bio/ ./internal/evalx/
+# BENCH_PKGS are the packages whose Go benchmarks measure one layer each:
+# the expression VM, the simulation kernels, the evaluator tiers, the
+# calibration objective and the observability hot paths. The root package
+# adds the population-pass benchmarks (EvaluatePop). Their allocs/op
+# ceilings are ordinary tests in `make test`; ns/op is for reading, not
+# gating: speed is judged end to end by bench/.
+BENCH_PKGS = ./internal/expr/ ./internal/bio/ ./internal/evalx/ ./internal/calib/ ./internal/obs/
 
-# bench-smoke compiles and runs the hot-path microbenchmarks and the
-# clustered population benchmark exactly once (-benchtime=1x): a fast CI
-# guard that benchmark code still builds and executes, without measuring
-# anything. Serving is benchmarked end to end by bench/ (serve_point).
+# bench runs every per-layer microbenchmark with allocation reporting.
+bench:
+	$(GO) test -run xxx -bench . -benchmem $(BENCH_PKGS)
+	$(GO) test -run xxx -bench EvaluatePop -benchmem .
+
+# bench-smoke runs the same benchmarks exactly once (-benchtime=1x): a fast
+# CI guard that benchmark code still builds and executes, without
+# measuring anything. Serving is benchmarked end to end by bench/
+# (serve_point).
 bench-smoke:
-	$(GO) test -run xxx -bench . -benchtime 1x ./internal/expr/ ./internal/bio/ ./internal/evalx/
+	$(GO) test -run xxx -bench . -benchtime 1x $(BENCH_PKGS)
 	$(GO) test -run xxx -bench EvaluatePop -benchtime 1x .
 
 # bench-module vets and short-tests the end-to-end benchmark. bench/ is its
@@ -72,20 +80,6 @@ bench-smoke:
 bench-module:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test -short ./...
-
-# bencheval snapshots evaluator cold / tier-1 / param-batch / tier-2
-# numbers and cache hit rates into BENCH_EVAL.json (the README performance
-# table's source), once per GOMAXPROCS setting (1 and all CPUs).
-bencheval:
-	$(GO) run ./cmd/riverbench -exp bencheval
-
-# bench-diff re-measures the evaluator hot path and fails if any benchmark
-# regresses more than 15% in ns/op — or allocates at all more — against
-# the committed BENCH_EVAL.json. Fresh numbers land in /tmp so the
-# baseline is only updated deliberately (via `make bencheval`).
-bench-diff:
-	$(GO) run ./cmd/riverbench -exp bencheval \
-		-bench-out /tmp/BENCH_EVAL.head.json -baseline BENCH_EVAL.json
 
 # serve-smoke boots the gmrd daemon on a random port, hits /healthz, one
 # /v1/forecast, and one /v2/forecast ensemble request (typed-envelope

@@ -96,6 +96,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *runs < 1 && *islands <= 0 {
+		// core treats zero runs as one and rejects negative counts; say
+		// so before any data loads.
+		fmt.Fprintln(flag.CommandLine.Output(), "-runs must be at least 1 (or use -islands)")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	faults, ferr := faultinject.Parse(*faultSpec)
 	if ferr != nil {

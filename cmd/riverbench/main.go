@@ -7,18 +7,13 @@
 //	riverbench -exp fig11
 //	riverbench -exp islands [-islands 4] [-checkpoint run.ckpt] [-resume] [-telemetry ISLANDS.jsonl] \
 //	           [-faults "seed=42,panic:0.01,nan:0.01,trunc:0.1"]
-//	riverbench -exp bencheval [-bench-out BENCH_EVAL.json] [-baseline BENCH_EVAL.json]
 //	riverbench -exp all
 //
 // Rows are printed in the paper's layout so results can be compared side by
 // side with Table V and Figures 1, 9, 10, and 11 (see EXPERIMENTS.md).
-// -exp bencheval snapshots the evaluator hot-path benchmarks (cold /
-// tier-1 hit / param batch / tier-2 hit, plus cache hit rates) into a JSON
-// file, once per GOMAXPROCS setting (1 and all CPUs); with -baseline it
-// additionally compares against a committed snapshot and exits non-zero on
-// any >15% ns/op regression or allocs/op increase (`make bench-diff`).
-// Serving is measured by the end-to-end benchmark in bench/ (the
-// serve_point workload), not here.
+// Performance is measured elsewhere: end to end by the benchmark in bench/
+// (the revise_islands and serve_point workloads), and per layer by the Go
+// benchmarks that `make bench` runs, whose allocation ceilings are tests.
 // -exp islands runs GMR as an island model with elite migration, streaming
 // JSONL telemetry (per-island generation stats, migration events, evaluator
 // cache hit rates) and optionally checkpointing for crash-safe resume.
@@ -48,16 +43,13 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "tablev", "experiment: tablev, fig9, fig10, fig11, ablation, islands, bencheval, or all")
+		exp      = flag.String("exp", "tablev", "experiment: tablev, fig9, fig10, fig11, ablation, islands, or all")
 		scale    = flag.String("scale", "small", "budget scale: small, medium, or paper")
 		seed     = flag.Int64("seed", 1, "master seed (dataset uses seed, methods use derived seeds)")
 		dsSeed   = flag.Int64("data-seed", 7, "synthetic dataset seed")
 		methods  = flag.String("methods", "", "comma-separated Table V method filter (empty = all)")
 		pop      = flag.Int("pop", 60, "fig10 workload size (individuals)")
 		md       = flag.Bool("markdown", false, "emit GitHub-flavored markdown tables (for EXPERIMENTS.md)")
-		benchOut = flag.String("bench-out", "BENCH_EVAL.json", "output path for the -exp bencheval snapshot")
-
-		baseline = flag.String("baseline", "", "bencheval: compare against this snapshot and fail on >15% ns/op or any allocs/op regression")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		pprofSrv = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -310,19 +302,12 @@ func main() {
 		runAblation()
 	case "islands":
 		runIslands()
-	case "bencheval":
-		if err := runBenchEval(ds, *benchOut, *baseline); err != nil {
-			fatal(err)
-		}
 	case "all":
 		runTableV()
 		runFig9()
 		runFig10()
 		runFig11()
 		runAblation()
-		if err := runBenchEval(ds, *benchOut, *baseline); err != nil {
-			fatal(err)
-		}
 	default:
 		profileStop()
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)

@@ -41,7 +41,8 @@ type Config struct {
 	// initial biomasses are set by Run from the training observations.
 	Eval evalx.Options
 	// Runs is the number of independent evolutionary runs (paper: 60);
-	// zero means 1. The best model across runs is reported.
+	// zero means 1 and a negative count is an error. The best model across
+	// runs is reported.
 	Runs int
 	// TopK is how many of the best final individuals to keep for the
 	// Figure 9 analyses; zero means 50 (the paper's "50 best models").
@@ -202,6 +203,9 @@ func Run(ds *dataset.Dataset, cfg Config) (*Result, error) {
 // into a partial Result. Cancellation before any model exists returns
 // ctx's error.
 func RunContext(ctx context.Context, ds *dataset.Dataset, cfg Config) (*Result, error) {
+	if cfg.Runs < 0 {
+		return nil, fmt.Errorf("core: negative run count %d", cfg.Runs)
+	}
 	cfg = cfg.withDefaults()
 	s, err := prepare(ds, cfg)
 	if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -39,6 +40,17 @@ func smallCfg(seed int64) Config {
 		Eval: evalx.AllSpeedups(bio.SimConfig{SubSteps: 2}),
 		Runs: 1,
 		TopK: 10,
+	}
+}
+
+// TestRunRejectsNegativeRuns: a negative run count is a configuration
+// error up front, not an empty search reported as "no valid model".
+func TestRunRejectsNegativeRuns(t *testing.T) {
+	cfg := smallCfg(1)
+	cfg.Runs = -1
+	_, err := Run(smallDS(t), cfg)
+	if err == nil || !strings.Contains(err.Error(), "negative run count") {
+		t.Fatalf("Runs -1: err = %v, want a negative run count error", err)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 )
 
 // smallData builds a short synthetic window for cheap evaluation tests.
-func smallData(t *testing.T) (forcing [][]float64, obs []float64, consts []bio.Constant) {
+func smallData(t testing.TB) (forcing [][]float64, obs []float64, consts []bio.Constant) {
 	t.Helper()
 	ds, err := dataset.Generate(dataset.Config{Seed: 3, StartYear: 2000, EndYear: 2001, TrainEndYear: 2000})
 	if err != nil {

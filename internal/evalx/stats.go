@@ -8,7 +8,8 @@ import (
 
 // Stats counts evaluator work for the Fig 10/11 analyses and the cache
 // telemetry of the two-tier evaluation cache. It is also the JSON record
-// the orchestrator's JSONL stream and the bencheval snapshot carry. Tier-1
+// the orchestrator's JSONL stream carries and testdata/golden/evalx.golden
+// pins; the end-to-end benchmark (bench/) reads its hit ratios. Tier-1
 // misses are evaluations that had to run the derive→simplify pipeline;
 // tier-2 misses are evaluations whose fitness was not served from the
 // (structure, params) cache (including all evaluations when caching is

@@ -83,7 +83,8 @@ type Config struct {
 	SeedIndividuals []*Individual
 	// Seed drives all randomness of the run.
 	Seed int64
-	// Workers bounds evaluation parallelism; zero means GOMAXPROCS.
+	// Workers bounds evaluation parallelism; zero means GOMAXPROCS and a
+	// negative count is an error.
 	Workers int
 	// Tracer records per-generation phase spans (gp.variation,
 	// gp.evaluate, gp.refine_elite, gp.init_pop) on the unified
@@ -371,6 +372,9 @@ func NewEngine(g *tag.Grammar, eval Evaluator, cfg Config) (*Engine, error) {
 	}
 	if cfg.PopSize < 2 {
 		return nil, fmt.Errorf("gp: population size %d too small", cfg.PopSize)
+	}
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("gp: negative worker count %d", cfg.Workers)
 	}
 	e := &Engine{cfg: cfg, g: g, eval: eval, rng: stats.NewRNG(cfg.Seed)}
 	e.ce, _ = eval.(ClusterEvaluator)

@@ -172,6 +172,9 @@ func TestNewEngineValidation(t *testing.T) {
 	if _, err := NewEngine(g, ev, Config{MinSize: 10, MaxSize: 5}); err == nil {
 		t.Error("inverted size bounds accepted")
 	}
+	if _, err := NewEngine(g, ev, Config{Workers: -1}); err == nil {
+		t.Error("negative worker count accepted")
+	}
 }
 
 func makeIndividual(t *testing.T, g *tag.Grammar, seed int64, minSize, maxSize int) *Individual {

@@ -5,11 +5,10 @@ import (
 	"time"
 )
 
-// TestHotPathZeroAlloc pins the overhead contract of ISSUE 8: counter
+// TestHotPathZeroAlloc pins the observability overhead contract: counter
 // increments, gauge sets, histogram observes, and the disabled tracer
-// must not allocate. The same paths are benchmarked below and registered
-// in BENCH_EVAL.json, where any allocs/op regression fails the
-// bench-diff comparator.
+// must not allocate. This test is the allocation gate; the benchmarks below
+// (`make bench`) report the same paths' ns/op for reading.
 func TestHotPathZeroAlloc(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "", nil)
