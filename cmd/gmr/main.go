@@ -4,7 +4,7 @@
 //	gmr [-data nakdong.csv] [-pop 150] [-gens 60] [-runs 2] [-seed 1]
 //	gmr -islands 4 [-migrate-every 5] [-migrants 2] \
 //	    [-checkpoint run.ckpt] [-resume] [-telemetry run.jsonl] \
-//	    [-faults "seed=42,panic:0.01,nan:0.01"] [-eval-deadline 2s] \
+//	    [-faults "seed=42,panic:0.01,nan:0.01"] \
 //	    [-metrics-addr :9090] [-slow-span 100ms]
 //
 // -metrics-addr serves the unified observability plane while the run
@@ -83,7 +83,6 @@ func main() {
 		telemetryTo = flag.String("telemetry", "", "write JSONL run telemetry to this file (islands mode)")
 
 		faultSpec = flag.String("faults", "", `chaos-testing fault spec, e.g. "seed=42,panic:0.01,nan:0.01,latency:0.005:2ms,trunc:0.1" (empty disables)`)
-		deadline  = flag.Duration("eval-deadline", 0, "per-evaluation wall-clock deadline (0 disables; breaks bitwise determinism)")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/spans, and /debug/pprof on this address while the run executes (empty disables)")
 		slowSpan    = flag.Duration("slow-span", 0, "log phase spans slower than this threshold (0 disables; requires -metrics-addr)")
@@ -141,7 +140,6 @@ func main() {
 		eval.UseShortCircuit = false
 	}
 	eval.Faults = faults
-	eval.EvalDeadline = *deadline
 	cfg := core.Config{
 		GP:   gp.Config{PopSize: *pop, MaxGen: *gens, LocalSearchSteps: *ls, Seed: *seed, NoCluster: *noCluster},
 		Eval: eval,
@@ -298,8 +296,8 @@ func main() {
 			lo, hi := calib.Box(consts)
 			dr := calib.NewDREAM()
 			dr.Record = calib.NewPosteriorRecorder(*posterior, budget/2)
-			obj := calib.StructureBatchObjective(m.SegSystem, ds.TrainForcing(), ds.TrainObsPhy(), sim)
-			dr.CalibrateBatch(obj, lo, hi, budget, rand.New(rand.NewSource(*seed)))
+			obj := calib.StructureObjective(m.SegSystem, ds.TrainForcing(), ds.TrainObsPhy(), sim)
+			dr.Calibrate(obj, lo, hi, budget, rand.New(rand.NewSource(*seed)))
 			post := dr.Record.Posterior()
 			if post == nil || len(post.Samples) == 0 {
 				fatal(fmt.Errorf("posterior sampling retained no states"))

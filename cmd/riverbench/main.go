@@ -37,6 +37,7 @@ import (
 	"syscall"
 	"text/tabwriter"
 
+	"gmr/internal/dataset"
 	"gmr/internal/experiments"
 	"gmr/internal/faultinject"
 )
@@ -87,22 +88,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
 		os.Exit(2)
 	}
-	if err := startProfiles(*cpuProf, *memProf, *pprofSrv); err != nil {
-		fatal(err)
-	}
-	defer profileStop()
-	if *cpuProf != "" || *memProf != "" || *pprofSrv != "" {
-		// Tag evaluation phases (eval_phase) and islands on worker
-		// goroutines so profiles slice by pipeline stage. Only when
-		// profiling: the labels allocate on the hot path.
-		experiments.ProfileLabels = true
-	}
-	fmt.Printf("generating synthetic Nakdong dataset (seed %d)...\n", *dsSeed)
-	ds, err := experiments.DefaultDataset(*dsSeed)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("dataset: %d days, train %d, test %d\n\n", ds.Days, ds.TrainEnd, ds.Days-ds.TrainEnd)
+	var ds *dataset.Dataset // generated once the flags are known to be valid
 
 	runTableV := func() {
 		filter := map[string]bool{}
@@ -289,30 +275,43 @@ func main() {
 		fmt.Printf("  dBZoo/dt = %s\n\n", res.Core.BestZoo.Pretty())
 	}
 
-	switch *exp {
-	case "tablev":
-		runTableV()
-	case "fig9":
-		runFig9()
-	case "fig10":
-		runFig10()
-	case "fig11":
-		runFig11()
-	case "ablation":
-		runAblation()
-	case "islands":
-		runIslands()
-	case "all":
-		runTableV()
-		runFig9()
-		runFig10()
-		runFig11()
-		runAblation()
-	default:
-		profileStop()
+	run, ok := map[string]func(){
+		"tablev":   runTableV,
+		"fig9":     runFig9,
+		"fig10":    runFig10,
+		"fig11":    runFig11,
+		"ablation": runAblation,
+		"islands":  runIslands,
+		"all": func() {
+			runTableV()
+			runFig9()
+			runFig10()
+			runFig11()
+			runAblation()
+		},
+	}[*exp]
+	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		os.Exit(2)
 	}
+
+	if err := startProfiles(*cpuProf, *memProf, *pprofSrv); err != nil {
+		fatal(err)
+	}
+	defer profileStop()
+	if *cpuProf != "" || *memProf != "" || *pprofSrv != "" {
+		// Tag evaluation phases (eval_phase) and islands on worker
+		// goroutines so profiles slice by pipeline stage. Only when
+		// profiling: the labels allocate on the hot path.
+		experiments.ProfileLabels = true
+	}
+	fmt.Printf("generating synthetic Nakdong dataset (seed %d)...\n", *dsSeed)
+	var err error
+	if ds, err = experiments.DefaultDataset(*dsSeed); err != nil {
+		fatal(err)
+	}
+	fmt.Printf("dataset: %d days, train %d, test %d\n\n", ds.Days, ds.TrainEnd, ds.Days-ds.TrainEnd)
+	run()
 }
 
 func fatal(err error) {

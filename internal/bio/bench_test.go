@@ -7,8 +7,8 @@ import (
 
 // BenchmarkSegKernel measures the compiled simulation inner loop as the
 // evaluator runs it on a structure-cache hit: the exogenous plan is built
-// once, and each iteration runs the per-candidate prologue and the
-// segmented kernel with warm scratch (allocation-free, as
+// once, and each iteration is a one-member KernelLanes call — the scalar
+// loop's prologue and kernel — with warm scratch (allocation-free, as
 // TestSegKernelSteadyStateAllocFree enforces).
 func BenchmarkSegKernel(b *testing.B) {
 	phy, zoo, params, forcing := manualWorkload(b)
@@ -18,19 +18,20 @@ func BenchmarkSegKernel(b *testing.B) {
 	}
 	cfg := SimConfig{Phy0: 10, Zoo0: 1}
 	plan := seg.NewExogPlan(forcing)
+	one := [][]float64{params}
+	hook := func(int, int, float64) bool { return true }
 	var sc SimScratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		seg.Prologue(params, &sc)
-		seg.Kernel(plan, cfg, &sc, nil)
+		seg.KernelLanes(plan, cfg, &sc, one, hook, nil)
 	}
 }
 
 // BenchmarkKernelLanes measures one lane launch on BenchmarkSegKernel's
-// workload at 1, 2, 4 and 8 members, so a launch's cost can be set against
-// the scalar run's per member (allocation-free, as TestKernelLanesAllocFree
-// enforces).
+// workload at 2, 4 and 8 members, so a launch's cost can be set against
+// the scalar loop's per member (a lone member runs that loop; allocation-
+// free, as TestKernelLanesAllocFree enforces).
 func BenchmarkKernelLanes(b *testing.B) {
 	phy, zoo, params, forcing := manualWorkload(b)
 	seg, err := NewSegSystem(phy, zoo)
@@ -40,7 +41,7 @@ func BenchmarkKernelLanes(b *testing.B) {
 	cfg := SimConfig{Phy0: 10, Zoo0: 1}
 	plan := seg.NewExogPlan(forcing)
 	hook := func(int, int, float64) bool { return true }
-	for _, n := range []int{1, 2, 4, 8} {
+	for _, n := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("members=%d", n), func(b *testing.B) {
 			members := make([][]float64, n)
 			for m := range members {

@@ -13,17 +13,17 @@ import (
 // the hoisted exogenous plan — is shared; only parameters and state differ
 // per lane.
 //
-// Per-lane semantics match the scalar Kernel bit for bit: the same Euler
-// updates, the same clamps, the same non-finite aborts, the same per-day
-// hook protocol. A lane that aborts (non-finite state) or is stopped by its
-// hook drops out via swap-with-last compaction — the last active lane's
-// register column, state, and member identity move into the freed slot —
-// so the remaining work shrinks as candidates die. When every lane is dead
-// the kernel returns early; this is how short-circuit early abandon saves
-// work inside a batch.
+// Per-lane semantics match the scalar loop (runOne, which a chunk of one
+// member runs instead of a launch) bit for bit: the same Euler updates, the
+// same clamps, the same non-finite aborts, the same per-day hook protocol.
+// A lane that aborts (non-finite state) or is stopped by its hook drops out
+// via swap-with-last compaction — the last active lane's register column,
+// state, and member identity move into the freed slot — so the remaining
+// work shrinks as candidates die. When every lane is dead the kernel
+// returns early; this is how short-circuit early abandon saves work inside
+// a batch.
 
-// LaneHook observes one member of a lane batch, with the same protocol as
-// the scalar Kernel's perStep hook applied per member: after each
+// LaneHook observes one member of a KernelLanes call: after each
 // integrated day it receives (member, t, bphy) and returns false to stop
 // that member early; on a non-finite abort it is called one final time
 // with the offending value (and the member stops regardless of the return
@@ -32,29 +32,35 @@ import (
 type LaneHook func(member, t int, bphy float64) bool
 
 // KernelLanes integrates every parameter vector in params over the plan's
-// days: expr.Lanes members per launch, in input order, each launch running
-// the per-candidate PARAM prologue and then all its members in lockstep.
-// Predictions are delivered through hook (which must be non-nil): for each
-// live member, per day, hook(member, t, bphy) — exactly the values the
-// scalar Kernel would append to preds and pass to perStep for that
-// member's parameters. onLaunch, when non-nil, observes each launch: its
+// days, in chunks of up to expr.Lanes members in input order. It is the one
+// way to simulate a compiled model: a chunk of one member runs the scalar
+// loop, a chunk of two or more one lane launch that runs the per-candidate
+// PARAM prologue and then all its members in lockstep. Either way the
+// per-member values are bitwise identical. Predictions are delivered
+// through hook (which must be non-nil): for each live member, per day,
+// hook(member, t, bphy). onLaunch, when non-nil, observes each chunk: its
 // member count, start time and wall time (the clock is read only then).
 // Steady-state calls with a reused SimScratch are allocation-free.
 func (s *SegSystem) KernelLanes(plan *ExogPlan, cfg SimConfig, sc *SimScratch, params [][]float64, hook LaneHook, onLaunch func(n int, start time.Time, d time.Duration)) {
 	cfg = cfg.withDefaults()
 	for base := 0; base < len(params); base += expr.Lanes {
 		chunk := params[base:min(base+expr.Lanes, len(params))]
-		if onLaunch == nil {
-			s.launchLanes(plan, cfg, sc, base, chunk, hook)
-			continue
+		var t0 time.Time
+		if onLaunch != nil {
+			t0 = time.Now()
 		}
-		t0 := time.Now()
-		s.launchLanes(plan, cfg, sc, base, chunk, hook)
-		onLaunch(len(chunk), t0, time.Since(t0))
+		if len(chunk) == 1 {
+			s.runOne(plan, cfg, sc, base, chunk[0], hook)
+		} else {
+			s.launchLanes(plan, cfg, sc, base, chunk, hook)
+		}
+		if onLaunch != nil {
+			onLaunch(len(chunk), t0, time.Since(t0))
+		}
 	}
 }
 
-// launchLanes runs one launch of 1 ≤ len(chunk) ≤ expr.Lanes members,
+// launchLanes runs one launch of 2 ≤ len(chunk) ≤ expr.Lanes members,
 // reported to hook as base+lane. The PARAM segment runs once per lane;
 // tail lanes of a short chunk are padded by repeating chunk[0] (they
 // compute real, finite values and are never reported).

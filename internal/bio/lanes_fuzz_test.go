@@ -119,12 +119,7 @@ func FuzzLaneKernelVsScalar(f *testing.F) {
 		}
 
 		plan := seg.NewExogPlan(forcing)
-		want := make([]stepTrace, n)
-		var sc SimScratch
-		for m := range params {
-			seg.Prologue(params[m], &sc)
-			seg.Kernel(plan, cfg, &sc, want[m].hook(-1))
-		}
+		want := runAlone(seg, plan, cfg, params, nil)
 
 		got := make([]stepTrace, n)
 		var scLanes SimScratch

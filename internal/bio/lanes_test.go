@@ -9,11 +9,12 @@ import (
 	"gmr/internal/expr"
 )
 
-// Differential tests for the lane-batched kernel: KernelLanes must deliver,
-// per member, exactly the hook sequence the scalar Kernel produces for that
-// member's parameter vector — same days, same bitwise biomasses, same
-// non-finite abort values, same early stops — regardless of how many lanes
-// run together or in what order other lanes die.
+// Differential tests for the lane-batched kernel: one n-member KernelLanes
+// call must deliver, per member, exactly the hook sequence a one-member call
+// (the scalar loop) produces for that member's parameter vector — same
+// days, same bitwise biomasses, same non-finite abort values, same early
+// stops — regardless of how many lanes run together or in what order other
+// lanes die.
 
 func randBoxParams(rng *rand.Rand, consts []Constant) []float64 {
 	params := make([]float64, len(consts))
@@ -57,13 +58,8 @@ func TestKernelLanesMatchesScalarKernel(t *testing.T) {
 				}
 			}
 
-			// Scalar reference: one Kernel run per member.
-			want := make([]stepTrace, n)
-			var sc SimScratch
-			for m := range params {
-				seg.Prologue(params[m], &sc)
-				seg.Kernel(plan, cfg, &sc, want[m].hook(stopAt[m]))
-			}
+			// Scalar reference: one one-member call per member.
+			want := runAlone(seg, plan, cfg, params, stopAt)
 
 			// Lane run: all members in one batch.
 			got := make([]stepTrace, n)
@@ -105,12 +101,7 @@ func TestRunLanesChunksWideBatches(t *testing.T) {
 			params[m] = randBoxParams(rng, consts)
 		}
 
-		want := make([]stepTrace, n)
-		var sc SimScratch
-		for m := range params {
-			seg.Prologue(params[m], &sc)
-			seg.Kernel(plan, cfg, &sc, want[m].hook(-1))
-		}
+		want := runAlone(seg, plan, cfg, params, nil)
 
 		got := make([]stepTrace, n)
 		var sizes []int
@@ -167,12 +158,7 @@ func TestKernelLanesCompactionStress(t *testing.T) {
 			stopAt[m] = rng.Intn(len(forcing)) // every member stops early somewhere
 		}
 
-		want := make([]stepTrace, n)
-		var sc SimScratch
-		for m := range params {
-			seg.Prologue(params[m], &sc)
-			seg.Kernel(plan, cfg, &sc, want[m].hook(stopAt[m]))
-		}
+		want := runAlone(seg, plan, cfg, params, stopAt)
 
 		got := make([]stepTrace, n)
 		var scLanes SimScratch

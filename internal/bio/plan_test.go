@@ -80,14 +80,10 @@ func wantBlocks(k, d int) int64 {
 	return int64((d + planBlock) / planBlock) // ⌈(d+1)/planBlock⌉
 }
 
-// kernelTrace runs the scalar kernel over plan, stopping after day stop
-// (stop < 0: the whole window).
+// kernelTrace runs the scalar loop (a one-member KernelLanes call) over
+// plan, stopping after day stop (stop < 0: the whole window).
 func kernelTrace(seg *SegSystem, plan *ExogPlan, params []float64, stop int) *stepTrace {
-	var tr stepTrace
-	var sc SimScratch
-	seg.Prologue(params, &sc)
-	seg.Kernel(plan, SimConfig{SubSteps: 2, Phy0: 2, Zoo0: 1}, &sc, tr.hook(stop))
-	return &tr
+	return &laneTraces(seg, plan, [][]float64{params}, []int{stop})[0]
 }
 
 // laneTraces runs the lane kernel over plan, member m stopping after day
@@ -104,7 +100,7 @@ func laneTraces(seg *SegSystem, plan *ExogPlan, params [][]float64, stops []int)
 }
 
 // TestExogPlanOnDemandMatchesEager: across windows on both sides of the
-// block size, rows filled through Kernel and KernelLanes equal the eager
+// block size, rows filled through the scalar loop and the lanes equal the eager
 // matrix bitwise, and so do the traces of both kernels; a reader stopping
 // after day d fills exactly ⌈(d+1)/planBlock⌉ blocks (none when k == 0),
 // and the plan drops its forcing rows exactly when every block is filled.
@@ -133,13 +129,13 @@ func TestExogPlanOnDemandMatchesEager(t *testing.T) {
 
 				plan := seg.NewExogPlan(forcing)
 				if got, ref := kernelTrace(seg, plan, params[0], stop), kernelTrace(seg, ref, params[0], stop); !sameTrace(got, ref) {
-					t.Fatalf("%s days=%d stop=%d: Kernel trace differs from the eager plan's", name, days, stop)
+					t.Fatalf("%s days=%d stop=%d: scalar-loop trace differs from the eager plan's", name, days, stop)
 				}
 				if got, w := plan.built.Load(), wantBlocks(k, last); got != w {
-					t.Fatalf("%s days=%d stop=%d: Kernel filled %d blocks, want %d", name, days, stop, got, w)
+					t.Fatalf("%s days=%d stop=%d: scalar loop filled %d blocks, want %d", name, days, stop, got, w)
 				}
 				if rows := filledRows(plan); !bitsEqual(rows, want[:len(rows)]) {
-					t.Fatalf("%s days=%d stop=%d: Kernel-filled rows differ from eager EvalExog", name, days, stop)
+					t.Fatalf("%s days=%d stop=%d: scalar-loop-filled rows differ from eager EvalExog", name, days, stop)
 				}
 				if full := plan.built.Load() == int64(len(plan.blocks)); full != (plan.forcing == nil) {
 					t.Fatalf("%s days=%d stop=%d: plan holds forcing rows = %v with %d of %d blocks filled", name, days, stop, plan.forcing != nil, plan.built.Load(), len(plan.blocks))
@@ -166,7 +162,7 @@ func TestExogPlanOnDemandMatchesEager(t *testing.T) {
 	}
 }
 
-// TestExogPlanConcurrentFill: eight goroutines run Kernel or KernelLanes
+// TestExogPlanConcurrentFill: eight goroutines run the scalar loop or lanes
 // with different stop days on one fresh shared plan; every output equals a
 // serial run's, and the plan ends up filled exactly as far as the furthest
 // reader went. Run under -race by `make chaos`.

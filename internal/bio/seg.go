@@ -1,7 +1,6 @@
 package bio
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -18,12 +17,14 @@ import (
 //   - EXOG instructions run once per (structure, forcing series) into a
 //     T×k matrix (ExogPlan), filled on demand in blocks of days, that
 //     internal/evalx caches as "tier 1.5";
-//   - PARAM instructions run once per parameter vector (Prologue);
+//   - PARAM instructions run once per parameter vector;
 //   - DAY instructions run once per day (forcing is constant within a day).
 //
-// Semantics (Euler stepping, clamping, non-finite abort, perStep hook and
-// early stop) match the tree interpreter's System.RunBuf — the
-// differential tests in seg_test.go and evalx enforce this.
+// KernelLanes (lanes.go) is the one entry point: a lone member runs the
+// scalar loop below, two or more run on the lanes. Semantics (Euler
+// stepping, clamping, non-finite abort, per-day hook and early stop) match
+// the tree interpreter's System.RunBuf — the differential tests in
+// seg_test.go and evalx enforce this.
 
 // SegSystem is the compiled form of a System: one immutable register
 // program with two roots (dBPhy/dt, dBZoo/dt) sharing common
@@ -118,26 +119,19 @@ func (p *ExogPlan) fill(b int) {
 	}
 }
 
-// Prologue sizes the scratch register file and runs the per-candidate
-// parameter segment (constant pool + parameter loads + forcing-free
-// arithmetic). It must be called once per parameter vector before Kernel.
-func (s *SegSystem) Prologue(params []float64, sc *SimScratch) {
-	sc.regs = growBuf(sc.regs, s.Prog.NumRegs())
-	s.Prog.EvalParam(params, sc.regs)
-}
-
-// Kernel integrates the system over the plan's days using the precomputed
-// exogenous matrix. Prologue must have run first with the same scratch.
-// Semantics (Euler stepping, clamping, non-finite abort, perStep hook and
-// early stop) match System.RunBuf; the returned slice aliases sc.
-// Steady-state calls with a reused SimScratch are allocation-free.
-func (s *SegSystem) Kernel(plan *ExogPlan, cfg SimConfig, sc *SimScratch, perStep func(t int, bphy float64) bool) []float64 {
-	cfg = cfg.withDefaults()
-	preds := sc.preds[:0]
-	bphy, bzoo := cfg.Phy0, cfg.Zoo0
+// runOne is KernelLanes for a chunk of one member: the scalar loop, which
+// runs the member's PARAM prologue and then integrates it alone, reporting
+// to hook as member under the LaneHook protocol. An early stop (non-finite
+// abort or a false hook) counts in sc.LaneDrops, as the lone lane's drop
+// would. A launch computes all expr.Lanes lanes whatever it holds, so a
+// lone member costs several scalar runs on the lanes (DESIGN.md §10).
+func (s *SegSystem) runOne(plan *ExogPlan, cfg SimConfig, sc *SimScratch, member int, params []float64, hook LaneHook) {
+	prog, k := s.Prog, plan.k
+	sc.regs = growBuf(sc.regs, prog.NumRegs())
 	sc.vars = growBuf(sc.vars, NumVars)
 	vars, regs := sc.vars, sc.regs
-	prog, k := s.Prog, plan.k
+	prog.EvalParam(params, regs)
+	bphy, bzoo := cfg.Phy0, cfg.Zoo0
 	h := 1.0 / float64(cfg.SubSteps)
 	var rows []float64 // the rest of the current plan block, k values per day
 	for t := 0; t < plan.days; t++ {
@@ -153,43 +147,33 @@ func (s *SegSystem) Kernel(plan *ExogPlan, cfg SimConfig, sc *SimScratch, perSte
 			vars[IdxBPhy] = bphy
 			vars[IdxBZoo] = bzoo
 			prog.EvalStep(vars, regs)
-			dPhy := prog.Root(0, regs)
-			dZoo := prog.Root(1, regs)
-			bphy += h * dPhy
-			bzoo += h * dZoo
+			bphy += h * prog.Root(0, regs)
+			bzoo += h * prog.Root(1, regs)
 			if bad, abort := nonFinite(bphy, bzoo); abort {
-				preds = append(preds, math.NaN())
-				sc.preds = preds
-				if perStep != nil {
-					perStep(t, bad)
-				}
-				return preds
+				hook(member, t, bad)
+				sc.LaneDrops++
+				return
 			}
 			bphy = clamp(bphy, cfg.ClampMin, cfg.ClampMax)
 			bzoo = clamp(bzoo, cfg.ClampMin, cfg.ClampMax)
 		}
-		preds = append(preds, bphy)
-		if perStep != nil && !perStep(t, bphy) {
-			sc.preds = preds
-			return preds
+		if !hook(member, t, bphy) {
+			sc.LaneDrops++
+			return
 		}
 	}
-	sc.preds = preds
-	return preds
 }
 
-// Run is the convenience entry point: it opens a throwaway exogenous plan,
-// runs the prologue, and invokes the kernel. Hot paths (internal/evalx)
-// cache the plan and call Prologue+Kernel directly instead.
-func (s *SegSystem) Run(forcing [][]float64, params []float64, cfg SimConfig, sc *SimScratch, perStep func(t int, bphy float64) bool) []float64 {
-	plan := s.NewExogPlan(forcing)
-	s.Prologue(params, sc)
-	return s.Kernel(plan, cfg, sc, perStep)
-}
-
-// Predict is Run with fresh scratch and no hook; the returned slice is
-// caller-owned.
+// Predict simulates the system over the forcing series under one parameter
+// vector with fresh scratch and no hook: a one-member KernelLanes call over
+// a throwaway exogenous plan. The returned slice is caller-owned and holds
+// one prediction per integrated day, ending in NaN if the state went
+// non-finite.
 func (s *SegSystem) Predict(forcing [][]float64, params []float64, cfg SimConfig) []float64 {
-	preds := s.Run(forcing, params, cfg, &SimScratch{}, nil)
-	return append([]float64(nil), preds...)
+	preds := make([]float64, 0, len(forcing))
+	s.KernelLanes(s.NewExogPlan(forcing), cfg, &SimScratch{}, [][]float64{params}, func(_, _ int, bphy float64) bool {
+		preds = AppendPrediction(preds, bphy)
+		return true
+	}, nil)
+	return preds
 }

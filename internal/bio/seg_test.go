@@ -11,7 +11,7 @@ import (
 // Differential tests for the compiled simulation path: SegSystem (register
 // VM, exogenous hoisting, per-day invariant evaluation) must reproduce the
 // tree interpreter's System.RunBuf bit for bit — every prediction, every
-// perStep call, early stops, and non-finite aborts included.
+// per-day hook call, early stops, and non-finite aborts included.
 
 // bindBio parses src and binds it against the bio variable/parameter
 // layout.
@@ -91,6 +91,23 @@ func (tr *stepTrace) hook(stopAt int) func(int, float64) bool {
 	}
 }
 
+// runAlone simulates every member of params in its own one-member
+// KernelLanes call, the scalar loop, member m stopping after day stopAt[m]
+// (negative: the whole window; nil stopAt: every member runs it all).
+func runAlone(seg *SegSystem, plan *ExogPlan, cfg SimConfig, params [][]float64, stopAt []int) []stepTrace {
+	trs := make([]stepTrace, len(params))
+	var sc SimScratch
+	for m := range params {
+		stop := -1
+		if stopAt != nil {
+			stop = stopAt[m]
+		}
+		hook := trs[m].hook(stop)
+		seg.KernelLanes(plan, cfg, &sc, params[m:m+1], func(_, t int, bphy float64) bool { return hook(t, bphy) }, nil)
+	}
+	return trs
+}
+
 func sameTrace(a, b *stepTrace) bool {
 	if len(a.ts) != len(b.ts) {
 		return false
@@ -147,25 +164,16 @@ func TestSegSystemMatchesTreeSystem(t *testing.T) {
 				stopAt = rng.Intn(len(forcing)) // early stop via perStep
 			}
 
-			var trTree, trSeg stepTrace
-			var scTree, scSeg SimScratch
-			predTree := tree.RunBuf(forcing, params, cfg, &scTree, trTree.hook(stopAt))
-			plan := seg.NewExogPlan(forcing)
-			seg.Prologue(params, &scSeg)
-			predSeg := seg.Kernel(plan, cfg, &scSeg, trSeg.hook(stopAt))
-
-			if !bitsEqual(predTree, predSeg) {
-				t.Fatalf("system %d trial %d: predictions diverge\ntree %v\nseg  %v", si, trial, predTree, predSeg)
-			}
+			var trTree stepTrace
+			var scTree SimScratch
+			tree.RunBuf(forcing, params, cfg, &scTree, trTree.hook(stopAt))
+			trSeg := runAlone(seg, seg.NewExogPlan(forcing), cfg, [][]float64{params}, []int{stopAt})[0]
 			if !sameTrace(&trTree, &trSeg) {
-				t.Fatalf("system %d trial %d: perStep traces diverge\ntree %v\nseg  %v", si, trial, trTree.ts, trSeg.ts)
+				t.Fatalf("system %d trial %d: hook traces diverge\ntree %v\nseg  %v", si, trial, trTree.ts, trSeg.ts)
 			}
 
-			// The convenience Run and Predict entry points must agree as well.
+			// The Predict entry points must agree as well.
 			full := tree.Predict(forcing, params, cfg)
-			if !bitsEqual(full, seg.Run(forcing, params, cfg, &SimScratch{}, nil)) {
-				t.Fatalf("system %d trial %d: SegSystem.Run diverges from the tree", si, trial)
-			}
 			if !bitsEqual(full, seg.Predict(forcing, params, cfg)) {
 				t.Fatalf("system %d trial %d: SegSystem.Predict diverges from the tree", si, trial)
 			}
@@ -252,10 +260,10 @@ func TestSegSystemRandomTreesProperty(t *testing.T) {
 		if trial%4 == 0 {
 			cfg.ClampDisabled = true
 		}
-		var trA, trB stepTrace
-		var scA, scB SimScratch
-		a := tree.RunBuf(forcing, params, cfg, &scA, trA.hook(-1))
-		b := seg.Run(forcing, params, cfg, &scB, trB.hook(-1))
+		var trA stepTrace
+		a := tree.Run(forcing, params, cfg, trA.hook(-1))
+		b := seg.Predict(forcing, params, cfg)
+		trB := runAlone(seg, seg.NewExogPlan(forcing), cfg, [][]float64{params}, nil)[0]
 		if !bitsEqual(a, b) {
 			t.Fatalf("trial %d: predictions diverge\nphy %s\nzoo %s\ntree %v\nseg  %v", trial, phy, zoo, a, b)
 		}
@@ -266,8 +274,8 @@ func TestSegSystemRandomTreesProperty(t *testing.T) {
 }
 
 // TestSegKernelSteadyStateAllocFree: with the plan built and the scratch
-// warm, Prologue+Kernel must not allocate — this is the per-candidate cost
-// of a parameter-sweep member.
+// warm, a one-member KernelLanes call (the scalar loop) must not allocate —
+// this is the per-candidate cost of a lone evaluation.
 func TestSegKernelSteadyStateAllocFree(t *testing.T) {
 	consts := DefaultConstants()
 	paramIdx := ParamIndex(consts)
@@ -281,14 +289,14 @@ func TestSegKernelSteadyStateAllocFree(t *testing.T) {
 	params := Means(consts)
 	cfg := SimConfig{SubSteps: 4, Phy0: 2, Zoo0: 1}
 	plan := seg.NewExogPlan(forcing)
+	one := [][]float64{params}
+	hook := func(int, int, float64) bool { return true }
 	var sc SimScratch
-	seg.Prologue(params, &sc)
-	seg.Kernel(plan, cfg, &sc, nil) // warm the buffers
+	seg.KernelLanes(plan, cfg, &sc, one, hook, nil) // warm the buffers
 	allocs := testing.AllocsPerRun(50, func() {
-		seg.Prologue(params, &sc)
-		seg.Kernel(plan, cfg, &sc, nil)
+		seg.KernelLanes(plan, cfg, &sc, one, hook, nil)
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state Prologue+Kernel allocates %.1f objects/run; want 0", allocs)
+		t.Fatalf("steady-state one-member KernelLanes allocates %.1f objects/run; want 0", allocs)
 	}
 }

@@ -116,7 +116,14 @@ func TestRunBufReusesScratch(t *testing.T) {
 	cfg := SimConfig{Phy0: 10, Zoo0: 1}
 	want := sys.Run(forcing, params, cfg, nil)
 	var sc SimScratch
-	got := sys.RunBuf(forcing, params, cfg, &sc, nil)
+	var got []float64
+	sys.RunBuf(forcing, params, cfg, &sc, func(_ int, bphy float64) bool {
+		got = append(got, bphy)
+		return true
+	})
+	if len(got) != len(want) {
+		t.Fatalf("RunBuf reported %d days, Run %d", len(got), len(want))
+	}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("day %d: RunBuf %v != Run %v", i, got[i], want[i])
@@ -149,13 +156,16 @@ func TestSegSystemConcurrent(t *testing.T) {
 		go func() {
 			var sc SimScratch
 			for r := 0; r < 20; r++ {
-				seg.Prologue(params, &sc)
-				got := seg.Kernel(plan, cfg, &sc, nil)
-				for i := range want {
-					if got[i] != want[i] {
-						errs <- fmt.Errorf("concurrent trajectory mismatch at day %d", i)
-						return
+				bad := -1
+				seg.KernelLanes(plan, cfg, &sc, [][]float64{params}, func(_, t int, bphy float64) bool {
+					if bphy != want[t] && bad < 0 {
+						bad = t
 					}
+					return true
+				}, nil)
+				if bad >= 0 {
+					errs <- fmt.Errorf("concurrent trajectory mismatch at day %d", bad)
+					return
 				}
 			}
 			errs <- nil

@@ -12,30 +12,27 @@ import (
 	"sort"
 )
 
-// Objective scores a parameter vector; lower is better (the case study uses
-// training RMSE, matching the paper's fitness function).
-type Objective func(params []float64) float64
+// Objective scores many parameter vectors in one call, appending one value
+// per vector to out (reusing its capacity) and returning it; lower is
+// better (the case study uses training RMSE, matching the paper's fitness
+// function). Each scored vector counts as one objective evaluation against
+// a calibrator's budget. Population calibrators (GA, SCE-UA, DREAM) pass
+// whole cohorts — generations, complex sweeps, chain sweeps — which
+// RiverObjective scores on the lane kernel; the sequential ones pass one
+// vector per call (single), which it scores on the scalar loop. out[i]
+// must not depend on which other vectors share the call.
+type Objective func(params [][]float64, out []float64) []float64
 
-// BatchObjective scores many parameter vectors in one call, appending one
-// value per vector to out (reusing its capacity) and returning it. Each
-// scored vector counts as one objective evaluation against a calibrator's
-// budget. Batch-capable objectives (RiverBatchObjective, the lane-batched
-// evaluator behind it) amortize compiled-structure resolution and
-// instruction dispatch across the whole batch; out[i] must equal what the
-// scalar objective would return for params[i].
-type BatchObjective func(params [][]float64, out []float64) []float64
-
-// ScalarBatch adapts a scalar Objective to the batch signature (one
-// sequential call per vector). Population calibrators run identically —
-// same RNG stream, same trajectory, same result — under a scalar objective
-// and its ScalarBatch adapter, because their batched phases are the
-// canonical implementation (Calibrate delegates to CalibrateBatch).
-func ScalarBatch(obj Objective) BatchObjective {
-	return func(params [][]float64, out []float64) []float64 {
-		for _, x := range params {
-			out = append(out, obj(x))
-		}
-		return out
+// single adapts obj to one vector per call, for the calibrators whose
+// evaluations form a chain rather than cohorts. The one-element cohort and
+// the result buffer are reused, so a call allocates nothing of its own.
+func single(obj Objective) func(x []float64) float64 {
+	var in [1][]float64
+	out := make([]float64, 0, 1)
+	return func(x []float64) float64 {
+		in[0] = x
+		out = obj(in[:], out[:0])
+		return out[0]
 	}
 }
 
@@ -44,23 +41,9 @@ type Calibrator interface {
 	// Name is the method's display name (Table V row label).
 	Name() string
 	// Calibrate returns the best parameters found and their objective
-	// value, using at most budget objective evaluations.
+	// value, using at most budget objective evaluations (one per scored
+	// vector).
 	Calibrate(obj Objective, lo, hi []float64, budget int, rng *rand.Rand) ([]float64, float64)
-}
-
-// BatchCalibrator is implemented by population calibrators (GA, SCE-UA,
-// DREAM) whose evaluations arrive in natural cohorts — generations,
-// complex sweeps, chain sweeps — and can therefore score whole populations
-// per objective call. CalibrateBatch is the canonical implementation;
-// Calibrate wraps the objective with ScalarBatch and delegates, so the two
-// entry points follow identical trajectories by construction. Sequential
-// methods (Nelder–Mead's probe chain, MCMC's single chain) have no cohort
-// structure and stay scalar.
-type BatchCalibrator interface {
-	Calibrator
-	// CalibrateBatch is Calibrate over a batch objective: same contract,
-	// same budget accounting (one unit per scored vector).
-	CalibrateBatch(obj BatchObjective, lo, hi []float64, budget int, rng *rand.Rand) ([]float64, float64)
 }
 
 // All returns the nine calibrators of the paper in Table V order:

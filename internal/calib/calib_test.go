@@ -9,8 +9,18 @@ import (
 	"gmr/internal/dataset"
 )
 
-// sphere is a convex test objective with optimum at center.
-func sphere(center []float64) Objective {
+// perVector builds an Objective that scores each vector of a call with f.
+func perVector(f func(x []float64) float64) Objective {
+	return func(params [][]float64, out []float64) []float64 {
+		for _, x := range params {
+			out = append(out, f(x))
+		}
+		return out
+	}
+}
+
+// sphere is a convex test function with optimum at center.
+func sphere(center []float64) func(x []float64) float64 {
 	return func(x []float64) float64 {
 		var s float64
 		for i := range x {
@@ -47,7 +57,7 @@ func TestAllCalibratorsOnSphere(t *testing.T) {
 		c := c
 		t.Run(c.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
-			x, f := c.Calibrate(sphere(center), lo, hi, 3000, rng)
+			x, f := c.Calibrate(perVector(sphere(center)), lo, hi, 3000, rng)
 			if len(x) != 4 {
 				t.Fatalf("returned %d-dim point", len(x))
 			}
@@ -75,7 +85,7 @@ func TestLocalOptimizersOnRosenbrock(t *testing.T) {
 	lo, hi := box(2, -2, 2)
 	for _, c := range []Calibrator{NewMLE(), NewSCEUA(), NewGA(), NewDREAM()} {
 		rng := rand.New(rand.NewSource(3))
-		_, f := c.Calibrate(rosenbrock2, lo, hi, 6000, rng)
+		_, f := c.Calibrate(perVector(rosenbrock2), lo, hi, 6000, rng)
 		if f > 0.5 {
 			t.Errorf("%s: Rosenbrock best %v, want < 0.5", c.Name(), f)
 		}
@@ -94,7 +104,7 @@ func TestCalibratorsRespectBudgetRoughly(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(1))
 		budget := 500
-		c.Calibrate(obj, lo, hi, budget, rng)
+		c.Calibrate(perVector(obj), lo, hi, budget, rng)
 		if count > budget+60 {
 			t.Errorf("%s used %d evaluations for a budget of %d", c.Name(), count, budget)
 		}
@@ -109,7 +119,7 @@ func TestCalibratorDeterminism(t *testing.T) {
 	for _, c := range All() {
 		run := func() float64 {
 			rng := rand.New(rand.NewSource(11))
-			_, f := c.Calibrate(sphere([]float64{0.2, 0.2, 0.2}), lo, hi, 800, rng)
+			_, f := c.Calibrate(perVector(sphere([]float64{0.2, 0.2, 0.2})), lo, hi, 800, rng)
 			return f
 		}
 		if a, b := run(), run(); a != b {
@@ -133,7 +143,7 @@ func TestRiverObjectiveCalibrationImprovesOnManual(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo, hi := Box(consts)
-	manual := obj(bio.Means(consts))
+	manual := single(obj)(bio.Means(consts))
 	rng := rand.New(rand.NewSource(2))
 	params, f := NewGA().Calibrate(obj, lo, hi, 600, rng)
 	if f >= manual/10 {

@@ -27,21 +27,15 @@ func NewDREAM() *DREAM { return &DREAM{} }
 // Name implements Calibrator.
 func (*DREAM) Name() string { return "DREAM" }
 
-// Calibrate implements Calibrator by delegating to CalibrateBatch over a
-// scalar adapter; both entry points follow the same trajectory.
-func (dr *DREAM) Calibrate(obj Objective, lo, hi []float64, budget int, rng *rand.Rand) ([]float64, float64) {
-	return dr.CalibrateBatch(ScalarBatch(obj), lo, hi, budget, rng)
-}
-
-// CalibrateBatch implements BatchCalibrator. Each sweep snapshots the chain
+// Calibrate implements Calibrator. Each sweep snapshots the chain
 // states, generates every chain's proposal against that snapshot (consuming
 // randomness in chain order), scores the whole sweep in one batch call, and
 // then applies the Metropolis acceptances in chain order — the acceptance
-// draw happens only when the greedy test fails, preserving the scalar
-// short-circuit. Proposals read the start-of-sweep snapshot rather than
+// draw happens only when the greedy test fails, as in a sequential
+// Metropolis chain. Proposals read the start-of-sweep snapshot rather than
 // mid-sweep updates, which is what makes a sweep batchable and keeps the
 // sampler deterministic for a given RNG stream.
-func (dr *DREAM) CalibrateBatch(obj BatchObjective, lo, hi []float64, budget int, rng *rand.Rand) ([]float64, float64) {
+func (dr *DREAM) Calibrate(obj Objective, lo, hi []float64, budget int, rng *rand.Rand) ([]float64, float64) {
 	d := len(lo)
 	n := max(2*d, 8) // chains
 	evals := 0
@@ -131,6 +125,7 @@ func (*DEMCZ) Name() string { return "DE-MCz" }
 
 // Calibrate implements Calibrator.
 func (dz *DEMCZ) Calibrate(obj Objective, lo, hi []float64, budget int, rng *rand.Rand) ([]float64, float64) {
+	score := single(obj)
 	d := len(lo)
 	const n = 3 // chains
 	evals := 0
@@ -145,7 +140,7 @@ func (dz *DEMCZ) Calibrate(obj Objective, lo, hi []float64, budget int, rng *ran
 	archive := make([]scored, 0, budget)
 	for i := 0; i < m0; i++ {
 		x := uniformBox(rng, lo, hi)
-		archive = append(archive, scored{x, obj(x)})
+		archive = append(archive, scored{x, score(x)})
 		evals++
 	}
 	chains := make([]scored, n)
@@ -172,7 +167,7 @@ func (dz *DEMCZ) Calibrate(obj Objective, lo, hi []float64, budget int, rng *ran
 				prop[j] += g*(a.x[j]-b.x[j]) + e
 			}
 			clampBox(prop, lo, hi)
-			f := obj(prop)
+			f := score(prop)
 			evals++
 			if f < chains[i].f || rng.Float64() < math.Exp((chains[i].f-f)/temp) {
 				chains[i] = scored{prop, f}

@@ -23,19 +23,13 @@ func NewGA() *GA { return &GA{} }
 // Name implements Calibrator.
 func (*GA) Name() string { return "GA" }
 
-// Calibrate implements Calibrator by delegating to CalibrateBatch over a
-// scalar adapter; both entry points follow the same trajectory.
-func (g *GA) Calibrate(obj Objective, lo, hi []float64, budget int, rng *rand.Rand) ([]float64, float64) {
-	return g.CalibrateBatch(ScalarBatch(obj), lo, hi, budget, rng)
-}
-
-// CalibrateBatch implements BatchCalibrator: each generation's children are
+// Calibrate implements Calibrator: each generation's children are
 // generated first (consuming the RNG stream exactly as the sequential
 // generate-then-evaluate loop did — evaluation consumes no randomness) and
-// then scored through one batch objective call. Tournament selection reads
+// then scored as one cohort in a single objective call. Tournament selection reads
 // the previous generation, so deferring evaluation to the cohort boundary
 // changes nothing about the trajectory.
-func (g *GA) CalibrateBatch(obj BatchObjective, lo, hi []float64, budget int, rng *rand.Rand) ([]float64, float64) {
+func (g *GA) Calibrate(obj Objective, lo, hi []float64, budget int, rng *rand.Rand) ([]float64, float64) {
 	evals := 0
 	xs := make([][]float64, 0, gaPop)
 	fs := make([]float64, 0, gaPop)

@@ -23,8 +23,9 @@ func (*MCMC) Name() string { return "MCMC" }
 
 // Calibrate implements Calibrator.
 func (m *MCMC) Calibrate(obj Objective, lo, hi []float64, budget int, rng *rand.Rand) ([]float64, float64) {
+	score := single(obj)
 	cur := uniformBox(rng, lo, hi)
-	curF := obj(cur)
+	curF := score(cur)
 	best, bestF := cloneVec(cur), curF
 	temp := math.Max(curF/10, 1e-9)
 	for i := 1; i < budget; i++ {
@@ -33,7 +34,7 @@ func (m *MCMC) Calibrate(obj Objective, lo, hi []float64, budget int, rng *rand.
 			prop[j] += rng.NormFloat64() * mcmcStepFrac * (hi[j] - lo[j])
 		}
 		clampBox(prop, lo, hi)
-		f := obj(prop)
+		f := score(prop)
 		if f < curF || rng.Float64() < math.Exp((curF-f)/temp) {
 			cur, curF = prop, f
 			if f < bestF {
@@ -57,8 +58,9 @@ func (*SA) Name() string { return "SA" }
 
 // Calibrate implements Calibrator.
 func (s *SA) Calibrate(obj Objective, lo, hi []float64, budget int, rng *rand.Rand) ([]float64, float64) {
+	score := single(obj)
 	cur := uniformBox(rng, lo, hi)
-	curF := obj(cur)
+	curF := score(cur)
 	best, bestF := cloneVec(cur), curF
 	temp := math.Max(curF/2, 1e-9)
 	cool := math.Pow(1e-3, 1/math.Max(float64(budget), 2))
@@ -70,7 +72,7 @@ func (s *SA) Calibrate(obj Objective, lo, hi []float64, budget int, rng *rand.Ra
 			prop[j] += rng.NormFloat64() * stepScale * (hi[j] - lo[j])
 		}
 		clampBox(prop, lo, hi)
-		f := obj(prop)
+		f := score(prop)
 		if f < curF || rng.Float64() < math.Exp((curF-f)/temp) {
 			cur, curF = prop, f
 			if f < bestF {

@@ -19,10 +19,11 @@ func (*MLE) Name() string { return "MLE" }
 
 // Calibrate implements Calibrator.
 func (*MLE) Calibrate(obj Objective, lo, hi []float64, budget int, rng *rand.Rand) ([]float64, float64) {
+	score := single(obj)
 	evals := 0
 	counted := func(x []float64) float64 {
 		evals++
-		return obj(x)
+		return score(x)
 	}
 	var best []float64
 	bestF := 0.0

@@ -88,12 +88,12 @@ func TestPosteriorRecordingRNGNeutral(t *testing.T) {
 
 	t.Run("DREAM", func(t *testing.T) {
 		plain := NewDREAM()
-		x1, f1 := plain.CalibrateBatch(sphereBatch, lo, hi, budget, rand.New(rand.NewSource(42)))
+		x1, f1 := plain.Calibrate(sphereBatch, lo, hi, budget, rand.New(rand.NewSource(42)))
 
 		rec := NewPosteriorRecorder(32, budget/2)
 		traced := NewDREAM()
 		traced.Record = rec
-		x2, f2 := traced.CalibrateBatch(sphereBatch, lo, hi, budget, rand.New(rand.NewSource(42)))
+		x2, f2 := traced.Calibrate(sphereBatch, lo, hi, budget, rand.New(rand.NewSource(42)))
 
 		if math.Float64bits(f1) != math.Float64bits(f2) {
 			t.Fatalf("best objective differs: %v vs %v", f1, f2)
@@ -128,7 +128,7 @@ func TestPosteriorDREAMConverges(t *testing.T) {
 	hi := []float64{5, 5}
 	dr := NewDREAM()
 	dr.Record = NewPosteriorRecorder(64, 1500)
-	dr.CalibrateBatch(sphereBatch, lo, hi, 3000, rand.New(rand.NewSource(1)))
+	dr.Calibrate(sphereBatch, lo, hi, 3000, rand.New(rand.NewSource(1)))
 	p := dr.Record.Posterior()
 	if len(p.Samples) == 0 {
 		t.Fatal("no retained samples")

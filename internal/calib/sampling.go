@@ -19,11 +19,12 @@ func (*MC) Name() string { return "MC" }
 
 // Calibrate implements Calibrator.
 func (*MC) Calibrate(obj Objective, lo, hi []float64, budget int, rng *rand.Rand) ([]float64, float64) {
+	score := single(obj)
 	best := uniformBox(rng, lo, hi)
-	bestF := obj(best)
+	bestF := score(best)
 	for i := 1; i < budget; i++ {
 		x := uniformBox(rng, lo, hi)
-		if f := obj(x); f < bestF {
+		if f := score(x); f < bestF {
 			best, bestF = x, f
 		}
 	}
@@ -42,6 +43,7 @@ func (*LHS) Name() string { return "LHS" }
 
 // Calibrate implements Calibrator.
 func (*LHS) Calibrate(obj Objective, lo, hi []float64, budget int, rng *rand.Rand) ([]float64, float64) {
+	score := single(obj)
 	if budget < 1 {
 		budget = 1
 	}
@@ -53,7 +55,7 @@ func (*LHS) Calibrate(obj Objective, lo, hi []float64, budget int, rng *rand.Ran
 		for j := range x {
 			x[j] = lo[j] + u[j]*(hi[j]-lo[j])
 		}
-		if f := obj(x); f < bestF {
+		if f := score(x); f < bestF {
 			best, bestF = x, f
 		}
 	}

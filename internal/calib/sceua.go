@@ -19,12 +19,6 @@ func NewSCEUA() *SCEUA { return &SCEUA{} }
 // Name implements Calibrator.
 func (*SCEUA) Name() string { return "SCE-UA" }
 
-// Calibrate implements Calibrator by delegating to CalibrateBatch over a
-// scalar adapter; both entry points follow the same trajectory.
-func (s *SCEUA) Calibrate(obj Objective, lo, hi []float64, budget int, rng *rand.Rand) ([]float64, float64) {
-	return s.CalibrateBatch(ScalarBatch(obj), lo, hi, budget, rng)
-}
-
 // cceState carries one complex's in-flight CCE step between the batched
 // evaluation phases of a lockstep sweep.
 type cceState struct {
@@ -37,15 +31,15 @@ type cceState struct {
 	done     bool
 }
 
-// CalibrateBatch implements BatchCalibrator. The complexes evolve in
+// Calibrate implements Calibrator. The complexes evolve in
 // lockstep: on each CCE step every complex draws its sub-simplex and builds
 // its reflection point (consuming randomness in complex order), then all
 // reflections are scored in one batch call; complexes whose reflection
 // failed build contractions, scored in a second batch; remaining failures
 // draw random replacements, scored in a third. Each phase is truncated to
 // the remaining budget (members left unevaluated keep their worst point),
-// so the budget accounting matches the scalar contract exactly.
-func (s *SCEUA) CalibrateBatch(obj BatchObjective, lo, hi []float64, budget int, rng *rand.Rand) ([]float64, float64) {
+// so the budget is never exceeded.
+func (s *SCEUA) Calibrate(obj Objective, lo, hi []float64, budget int, rng *rand.Rand) ([]float64, float64) {
 	d := len(lo)
 	p, m := 4, 2*d+1 // complexes, complex size
 	evals := 0

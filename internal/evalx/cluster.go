@@ -79,8 +79,8 @@ func (e *Evaluator) EvaluateCluster(inds []*gp.Individual) {
 		e.evaluateClusterLanes(ent, key, inds, sc)
 		return
 	}
-	// Scalar fallback: singleton clusters, structures without a segmented
-	// program, and deadline-bounded configurations evaluate sequentially. A
+	// Scalar fallback: singleton clusters and structures without a
+	// segmented program evaluate sequentially. A
 	// panic escapes with every earlier member committed, satisfying the
 	// panic protocol for free.
 	for _, ind := range inds {
@@ -171,8 +171,7 @@ members:
 	e.ctr[cPopLaneBatches].Add(int64(launches))
 	e.ctr[cPopLanesFilled].Add(int64(len(pending)))
 	for _, m := range pending {
-		// Tier-2 insert, like the scalar path (deadline configurations
-		// never reach the lane path, so no uncacheable results land here).
+		// Tier-2 insert, like the scalar path.
 		e.cacheFit(sc.ckeys[m.keyOff:m.keyOff+m.keyLen], m.site, m.fitness, m.full)
 		ind := inds[m.idx]
 		ind.Fitness, ind.Evaluated, ind.FullEval = m.fitness, true, m.full

@@ -61,12 +61,11 @@ func (l legacyEval) EndBatch()                   { l.ev.EndBatch() }
 // counters are intentionally absent (they differ by construction), and so
 // is CacheHits under Workers>1 (cross-chunk duplicates of one key may both
 // simulate before the first-wins tier-2 insert; fitness stays identical).
-func scalarSubset(s Stats) [13]int {
-	return [13]int{
+func scalarSubset(s Stats) [12]int {
+	return [12]int{
 		s.Evaluations, s.FullEvals, s.ShortCircuits, s.CacheHits,
 		s.Tier1Hits, s.Derives, s.Compiles, s.StepsEvaluated,
-		s.StepsPossible, s.QuarNaN, s.QuarInf, s.QuarDeadline,
-		s.QuarBadStructure,
+		s.StepsPossible, s.QuarNaN, s.QuarInf, s.QuarBadStructure,
 	}
 }
 

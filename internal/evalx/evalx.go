@@ -36,7 +36,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"gmr/internal/bio"
 	"gmr/internal/expr"
@@ -77,21 +76,12 @@ type Options struct {
 	// injects the same faults regardless of worker count or cache
 	// warmth. A nil injector costs one nil check per evaluation.
 	Faults *faultinject.Injector
-	// EvalDeadline bounds the wall-clock time of a single evaluation;
-	// zero disables it. A candidate exceeding the deadline is aborted
-	// and quarantined with ReasonDeadline (+Inf fitness). Deadline
-	// aborts depend on wall-clock time, so they are NOT cached and
-	// using them forfeits the bitwise-determinism contract; treat the
-	// deadline as a safety valve for pathological candidates, not part
-	// of reproducible experiments.
-	EvalDeadline time.Duration
-	// ProfileLabels enables per-phase pprof labels (eval_phase =
-	// prologue / step-kernel) on the evaluation hot path, so CPU profiles
-	// attribute time to the segments of the register VM. The scalar path
-	// labels its prologue separately; a lane launch runs its per-lane
-	// prologue inside the one step-kernel region of its KernelLanes call.
-	// Exogenous plan blocks are filled inside step-kernel, as the kernel
-	// reaches them. Enable only for profiling runs: each labeled region
+	// ProfileLabels enables the pprof label eval_phase=step-kernel on the
+	// evaluation hot path, so CPU profiles attribute time to the register
+	// VM: each KernelLanes call is one region, its per-member PARAM
+	// prologues included. Exogenous plan blocks are filled inside
+	// step-kernel, as the kernel reaches them. Enable only for profiling
+	// runs: each labeled region
 	// allocates a pprof label set, which forfeits the zero-allocation
 	// contract of the steady-state paths (riverbench flips this on
 	// together with -cpuprofile/-pprof).
@@ -99,7 +89,7 @@ type Options struct {
 	// Tracer records evaluation-phase spans (evalx.simulate,
 	// evalx.lane_batch) at the same seams as the pprof labels; plan block
 	// fills fall inside them. A nil tracer is the zero-cost disabled path
-	// (no allocations); an enabled tracer samples and ring-buffers spans
+	// (no allocations); an enabled tracer ring-buffers every span
 	// (see internal/obs).
 	Tracer *obs.Tracer
 }
@@ -133,8 +123,6 @@ const (
 	// ReasonInf: the simulated state overflowed to ±Inf (clamping
 	// disabled or unbounded), i.e. numeric overflow.
 	ReasonInf
-	// ReasonDeadline: the evaluation exceeded Options.EvalDeadline.
-	ReasonDeadline
 	// ReasonBadStructure: the derivation failed to derive, split, bind,
 	// or compile.
 	ReasonBadStructure
@@ -151,8 +139,6 @@ func (r Reason) String() string {
 		return "nan"
 	case ReasonInf:
 		return "inf"
-	case ReasonDeadline:
-		return "deadline"
 	case ReasonBadStructure:
 		return "bad_structure"
 	default:
@@ -375,10 +361,8 @@ func (e *Evaluator) evaluateResolved(ent *structEntry, key string, params []floa
 	if hit, ok := e.cachedFit(kb, site); ok {
 		return hit.fitness, hit.full
 	}
-	fitness, full, reason := e.simulate(ent, params, sc, site)
-	// Deadline aborts depend on wall-clock time; caching one would make
-	// a transient stall permanent for that (structure, params) pair.
-	if insert && reason != ReasonDeadline {
+	fitness, full := e.simulate(ent, params, sc, site)
+	if insert {
 		e.cacheFit(kb, site, fitness, full)
 	}
 	return fitness, full
@@ -423,8 +407,7 @@ func (e *Evaluator) evalUncached(ind *gp.Individual, params []float64, sc *evalS
 	// parameter vector (bit patterns), seeded by a fixed base.
 	site := faultinject.HashFloats(uncachedSiteBase, params)
 	e.injectPre(site)
-	fitness, full, _ := e.simulate(ent, params, sc, site)
-	return fitness, full
+	return e.simulate(ent, params, sc, site)
 }
 
 // EvaluateParamBatch scores many parameter vectors against one individual's
@@ -483,10 +466,9 @@ func (e *Evaluator) EvaluateParamBatch(ind *gp.Individual, paramSets [][]float64
 
 // lanesFor reports whether members of a resolved structure can be scored
 // on the lane-batched kernel (DESIGN.md §11): the structure must have a
-// segmented program, and deadline evaluations stay on the scalar path —
-// their wall-clock polls are per-member.
+// segmented program.
 func (e *Evaluator) lanesFor(ent *structEntry) bool {
-	return ent != nil && !ent.bad && ent.seg != nil && e.opts.EvalDeadline == 0
+	return ent != nil && !ent.bad && ent.seg != nil
 }
 
 // evalParamBatchLanes is the lane-batched body of EvaluateParamBatch: the

@@ -3,7 +3,6 @@ package evalx
 import (
 	"math"
 	"testing"
-	"time"
 
 	"gmr/internal/faultinject"
 )
@@ -100,38 +99,6 @@ func TestFaultDecisionsDeterministicAcrossEvaluators(t *testing.T) {
 	b.EndBatch()
 	if a.Stats().QuarNaN == 0 {
 		t.Fatal("nan:0.5 over 16 individuals injected nothing (suspicious)")
-	}
-}
-
-func TestEvalDeadlineQuarantines(t *testing.T) {
-	forcing, obs, consts := smallData(t)
-	if len(obs) < 64 {
-		t.Skip("window too short to hit the deadline poll")
-	}
-	opts := Options{UseCache: true, UseCompile: true, Simplify: true, Sim: simCfg(obs), EvalDeadline: time.Nanosecond}
-	ev := New(forcing, obs, consts, opts)
-	ind, _ := manualInd(t)
-	ev.BeginBatch()
-	ev.Evaluate(ind)
-	ev.EndBatch()
-	if !math.IsInf(ind.Fitness, 1) {
-		t.Fatalf("deadline fitness = %v, want +Inf", ind.Fitness)
-	}
-	if ev.Stats().QuarDeadline != 1 {
-		t.Fatalf("QuarDeadline = %d, want 1", ev.Stats().QuarDeadline)
-	}
-	// Deadline aborts are not cached: the next evaluation simulates again
-	// (and times out again) instead of being served from the tier-2 cache.
-	c := ind.Clone()
-	c.Evaluated = false
-	ev.BeginBatch()
-	ev.Evaluate(c)
-	ev.EndBatch()
-	if ev.Stats().CacheHits != 0 {
-		t.Fatalf("deadline abort was cached (CacheHits=%d)", ev.Stats().CacheHits)
-	}
-	if ev.Stats().QuarDeadline != 2 {
-		t.Fatalf("QuarDeadline = %d, want 2", ev.Stats().QuarDeadline)
 	}
 }
 

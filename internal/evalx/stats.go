@@ -69,7 +69,6 @@ type Stats struct {
 	// fault-free streams keep their byte format.
 	QuarNaN          int `json:"quar_nan,omitempty"`           // state became NaN mid-simulation
 	QuarInf          int `json:"quar_inf,omitempty"`           // state overflowed to ±Inf mid-simulation
-	QuarDeadline     int `json:"quar_deadline,omitempty"`      // evaluation exceeded the per-evaluation deadline
 	QuarBadStructure int `json:"quar_bad_structure,omitempty"` // derivation failed to derive/bind/compile
 }
 
@@ -79,7 +78,7 @@ const PopHistBuckets = 8
 
 // Quarantined returns the total number of quarantined evaluations.
 func (s Stats) Quarantined() int {
-	return s.QuarNaN + s.QuarInf + s.QuarDeadline + s.QuarBadStructure
+	return s.QuarNaN + s.QuarInf + s.QuarBadStructure
 }
 
 // Add accumulates another stats snapshot (e.g. across per-run evaluators)
@@ -133,7 +132,6 @@ const (
 	cPopLanesFilled
 	cQuarNaN // quarantine counters, in Reason order from ReasonNaN
 	cQuarInf
-	cQuarDeadline
 	cQuarBadStructure
 	cPopClusterSize // first of PopHistBuckets cluster-size histogram counters
 
@@ -176,7 +174,6 @@ var counterTable = func() [numCounters]counterRow {
 		cPopLanesFilled:     {name: "pop_lanes_filled", field: func(s *Stats) *int { return &s.PopLanesFilled }},
 		cQuarNaN:            {name: "quar_nan", field: func(s *Stats) *int { return &s.QuarNaN }},
 		cQuarInf:            {name: "quar_inf", field: func(s *Stats) *int { return &s.QuarInf }},
-		cQuarDeadline:       {name: "quar_deadline", field: func(s *Stats) *int { return &s.QuarDeadline }},
 		cQuarBadStructure:   {name: "quar_bad_structure", field: func(s *Stats) *int { return &s.QuarBadStructure }},
 	}
 	// One row per cluster-size bucket, labeled by the bucket's inclusive

@@ -140,19 +140,12 @@ func runManual(ds *dataset.Dataset, sc Scale) (TableVRow, error) {
 func runQUAL2E(ds *dataset.Dataset, sc Scale, seed int64) (TableVRow, error) {
 	start := time.Now()
 	forcing, obs := ds.TrainForcing(), ds.TrainObsPhy()
-	obj := func(v []float64) float64 {
-		p, err := qual2e.FromVector(v)
-		if err != nil {
-			return math.Inf(1)
-		}
-		return metrics.RMSE(qual2e.Predict(forcing, p), obs)
-	}
 	lo, hi := qual2e.Bounds()
 	budget := sc.CalibBudget / 4
 	if budget < 500 {
 		budget = 500
 	}
-	v, _ := calib.NewSA().Calibrate(obj, lo, hi, budget, stats.NewRand(seed*53))
+	v, _ := calib.NewSA().Calibrate(qual2e.Objective(forcing, obs), lo, hi, budget, stats.NewRand(seed*53))
 	p, err := qual2e.FromVector(v)
 	if err != nil {
 		return TableVRow{Method: "QUAL2E"}, err
@@ -175,23 +168,11 @@ func runCalibrator(ds *dataset.Dataset, sc Scale, seed int64, c calib.Calibrator
 	sim := dataset.ModelSimConfig(sc.SubSteps, ds.ObsPhy[0], ds.ObsZoo[0])
 	lo, hi := calib.Box(consts)
 	rng := stats.NewRand(seed*31 + int64(len(c.Name())))
-	var params []float64
-	if bc, ok := c.(calib.BatchCalibrator); ok {
-		// Population methods score whole cohorts through the lane-batched
-		// kernel; the trajectory is identical to the scalar path (see
-		// calib's batch parity tests), just cheaper per candidate.
-		obj, err := calib.RiverBatchObjective(ds.TrainForcing(), ds.TrainObsPhy(), sim)
-		if err != nil {
-			return TableVRow{Method: c.Name()}, err
-		}
-		params, _ = bc.CalibrateBatch(obj, lo, hi, sc.CalibBudget, rng)
-	} else {
-		obj, err := calib.RiverObjective(ds.TrainForcing(), ds.TrainObsPhy(), sim)
-		if err != nil {
-			return TableVRow{Method: c.Name()}, err
-		}
-		params, _ = c.Calibrate(obj, lo, hi, sc.CalibBudget, rng)
+	obj, err := calib.RiverObjective(ds.TrainForcing(), ds.TrainObsPhy(), sim)
+	if err != nil {
+		return TableVRow{Method: c.Name()}, err
 	}
+	params, _ := c.Calibrate(obj, lo, hi, sc.CalibBudget, rng)
 	row, err := scoreProcess(ds, sc, bio.PhyDeriv(), bio.ZooDeriv(), params)
 	row.Class, row.Method = "Model calibration", c.Name()
 	row.Seconds = time.Since(start).Seconds()

@@ -16,17 +16,12 @@ type SpanRecord struct {
 }
 
 // TracerConfig configures NewTracer. The zero value is usable: a
-// 256-entry ring, no sampling, no slow-span log.
+// 256-entry ring and no slow-span log.
 type TracerConfig struct {
 	// Ring is the number of recent spans retained (default 256).
 	Ring int
-	// Sample keeps 1 of every Sample started spans (default 1 = all).
-	// Sampling is decided at Start, so skipped spans cost one atomic
-	// add and no clock read.
-	Sample int
-	// SlowThreshold, when > 0, reports every recorded span at least
-	// this long to SlowLog (sampled-out spans are never timed, so they
-	// cannot be reported).
+	// SlowThreshold, when > 0, reports every span at least this long to
+	// SlowLog.
 	SlowThreshold time.Duration
 	// SlowLog receives slow spans (default: dropped). Must be safe for
 	// concurrent use.
@@ -39,11 +34,10 @@ type TracerConfig struct {
 // is off. Enabled-path recording is also allocation-free (the ring is
 // pre-allocated and span names are static strings).
 type Tracer struct {
-	sample     int64
 	slowThresh time.Duration
 	slowLog    func(SpanRecord)
 
-	started  atomic.Int64 // spans started (sampling clock)
+	started  atomic.Int64
 	recorded atomic.Int64
 	slow     atomic.Int64
 
@@ -59,19 +53,15 @@ func NewTracer(cfg TracerConfig) *Tracer {
 	if cfg.Ring <= 0 {
 		cfg.Ring = 256
 	}
-	if cfg.Sample <= 0 {
-		cfg.Sample = 1
-	}
 	return &Tracer{
-		sample:     int64(cfg.Sample),
 		slowThresh: cfg.SlowThreshold,
 		slowLog:    cfg.SlowLog,
 		ring:       make([]SpanRecord, cfg.Ring),
 	}
 }
 
-// Span is an in-flight span handle. The zero Span (from a nil or
-// sampled-out tracer) is inert: End is a nil-check and nothing more.
+// Span is an in-flight span handle. The zero Span (from a nil tracer) is
+// inert: End is a nil-check and nothing more.
 type Span struct {
 	t     *Tracer
 	name  string
@@ -84,9 +74,7 @@ func (t *Tracer) Start(name string) Span {
 	if t == nil {
 		return Span{}
 	}
-	if n := t.started.Add(1); t.sample > 1 && n%t.sample != 0 {
-		return Span{}
-	}
+	t.started.Add(1)
 	return Span{t: t, name: name, start: time.Now()}
 }
 
@@ -105,9 +93,7 @@ func (t *Tracer) Observe(name string, start time.Time, d time.Duration) {
 	if t == nil {
 		return
 	}
-	if n := t.started.Add(1); t.sample > 1 && n%t.sample != 0 {
-		return
-	}
+	t.started.Add(1)
 	t.record(SpanRecord{Name: name, Start: start, Dur: d})
 }
 
@@ -154,13 +140,13 @@ func (t *Tracer) Stats() (started, recorded, slow int64) {
 }
 
 // RegisterMetrics exposes the tracer's own span counters on a registry
-// so the scrape shows whether tracing is live and how much is sampled
-// away. Nil-safe no-op on a nil tracer or registry.
+// so the scrape shows whether tracing is live. Nil-safe no-op on a nil
+// tracer or registry.
 func (t *Tracer) RegisterMetrics(r *Registry) {
 	if t == nil || r == nil {
 		return
 	}
-	r.CounterFunc("gmr_obs_spans_started_total", "Spans started (including sampled-out).", nil,
+	r.CounterFunc("gmr_obs_spans_started_total", "Spans started.", nil,
 		func() float64 { s, _, _ := t.Stats(); return float64(s) })
 	r.CounterFunc("gmr_obs_spans_recorded_total", "Spans recorded into the ring.", nil,
 		func() float64 { _, rec, _ := t.Stats(); return float64(rec) })

@@ -44,17 +44,6 @@ func TestTracerRecordsAndRingWraps(t *testing.T) {
 	}
 }
 
-func TestTracerSampling(t *testing.T) {
-	tr := NewTracer(TracerConfig{Ring: 64, Sample: 4})
-	for i := 0; i < 40; i++ {
-		tr.Start("s").End()
-	}
-	_, recorded, _ := tr.Stats()
-	if recorded != 10 {
-		t.Fatalf("sample=4 recorded %d of 40, want 10", recorded)
-	}
-}
-
 func TestTracerSlowLogAndObserve(t *testing.T) {
 	var mu sync.Mutex
 	var slow []SpanRecord

@@ -14,6 +14,8 @@ import (
 	"math"
 
 	"gmr/internal/bio"
+	"gmr/internal/calib"
+	"gmr/internal/metrics"
 )
 
 // Params are the model's kinetic constants.
@@ -101,4 +103,21 @@ func Predict(forcing [][]float64, p Params) []float64 {
 		out[t] = math.Min(math.Max(a, 1e-3), 1e5)
 	}
 	return out
+}
+
+// Objective is the steady-state model's calibration objective: RMSE of
+// Predict over forcing against obs for each parameter vector (+Inf for a
+// vector FromVector rejects).
+func Objective(forcing [][]float64, obs []float64) calib.Objective {
+	return func(vs [][]float64, out []float64) []float64 {
+		for _, v := range vs {
+			p, err := FromVector(v)
+			if err != nil {
+				out = append(out, math.Inf(1))
+				continue
+			}
+			out = append(out, metrics.RMSE(Predict(forcing, p), obs))
+		}
+		return out
+	}
 }

@@ -8,7 +8,6 @@ import (
 	"gmr/internal/bio"
 	"gmr/internal/calib"
 	"gmr/internal/dataset"
-	"gmr/internal/metrics"
 	"gmr/internal/stats"
 )
 
@@ -101,16 +100,9 @@ func TestCalibratedQual2EUnderperformsDynamicModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	forcing, obs := ds.TrainForcing(), ds.TrainObsPhy()
-	obj := func(v []float64) float64 {
-		p, err := FromVector(v)
-		if err != nil {
-			return math.Inf(1)
-		}
-		return metrics.RMSE(Predict(forcing, p), obs)
-	}
 	lo, hi := Bounds()
 	rng := stats.NewRand(3)
-	_, q2eRMSE := calib.NewSA().Calibrate(obj, lo, hi, 2500, rng)
+	_, q2eRMSE := calib.NewSA().Calibrate(Objective(forcing, obs), lo, hi, 2500, rng)
 
 	dynObj, err := calib.RiverObjective(forcing, obs, dataset.ModelSimConfig(2, obs[0], ds.ObsZoo[0]))
 	if err != nil {
