@@ -481,7 +481,9 @@ func goldenPopulation(t *testing.T) (*tag.Grammar, [2][]*gp.Individual) {
 }
 
 // goldenModes are the evaluator configurations of the fitness digests:
-// the tree interpreter, uncached runtime compilation and every speedup.
+// the tree interpreter, uncached runtime compilation, every speedup, and
+// the Fig 10 "TC" mode (the tree cache with simplification over the tree
+// interpreter, no compilation).
 var goldenModes = []struct {
 	name string
 	opts evalx.Options
@@ -489,6 +491,7 @@ var goldenModes = []struct {
 	{"tree", evalx.Options{}},
 	{"compile", evalx.Options{UseCompile: true}},
 	{"all", evalx.AllSpeedups(bio.SimConfig{})},
+	{"cache", evalx.Options{UseCache: true, Simplify: true}},
 }
 
 // fitnessBits renders each member's fitness bits and full-evaluation flag.
@@ -502,8 +505,7 @@ func fitnessBits(inds []*gp.Individual) string {
 
 // TestGoldenFitness scores one fixed population, in two batches (the second
 // with perturbed parameters, so cached modes hit their structure tier),
-// under the tree interpreter, uncached runtime compilation and every
-// speedup at once.
+// under each of goldenModes.
 func TestGoldenFitness(t *testing.T) {
 	ds := goldenDataset(t)
 	_, pop := goldenPopulation(t)
