@@ -25,7 +25,8 @@ type ParamSensitivity struct {
 // zero) and measures the forecast response over the forcing window. It
 // complements the Figure 9 variable-perturbation analysis on the parameter
 // side: constants whose perturbation barely moves the forecast are
-// candidates for fixing at their priors.
+// candidates for fixing at their priors. The baseline and every perturbed
+// copy are simulated in one KernelLanes call over one exogenous plan.
 func AnalyzeParamSensitivity(ind *gp.Individual, consts []bio.Constant, forcing [][]float64, sim bio.SimConfig) ([]ParamSensitivity, error) {
 	if ind == nil {
 		return nil, fmt.Errorf("core: nil individual")
@@ -34,23 +35,30 @@ func AnalyzeParamSensitivity(ind *gp.Individual, consts []bio.Constant, forcing 
 	if err != nil {
 		return nil, err
 	}
-	base := m.Predict(forcing, ind.Params, sim)
+	consts = consts[:min(len(consts), len(ind.Params))]
+	params := [][]float64{ind.Params}
+	for i, c := range consts {
+		p := append([]float64(nil), ind.Params...)
+		delta := 0.1 * p[i]
+		if delta == 0 {
+			delta = 0.1 * (c.Max - c.Min)
+		}
+		p[i] += delta
+		params = append(params, p)
+	}
+	preds := make([][]float64, len(params))
+	m.KernelLanes(m.NewExogPlan(forcing), sim, &bio.SimScratch{}, params, func(k, _ int, bphy float64) bool {
+		preds[k] = bio.AppendPrediction(preds[k], bphy)
+		return true
+	}, nil)
+	base := preds[0]
 	scale := stats.Mean(base)
 	if scale <= 0 || math.IsNaN(scale) {
 		return nil, fmt.Errorf("core: degenerate baseline forecast")
 	}
-	var out []ParamSensitivity
+	out := make([]ParamSensitivity, 0, len(consts))
 	for i, c := range consts {
-		if i >= len(ind.Params) {
-			break
-		}
-		params := append([]float64(nil), ind.Params...)
-		delta := 0.1 * params[i]
-		if delta == 0 {
-			delta = 0.1 * (c.Max - c.Min)
-		}
-		params[i] += delta
-		moved := m.Predict(forcing, params, sim)
+		moved := preds[1+i]
 		var sum float64
 		for j := range moved {
 			sum += math.Abs(moved[j] - base[j])

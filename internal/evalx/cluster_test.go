@@ -111,39 +111,57 @@ func comparePops(t *testing.T, label string, a, b []*gp.Individual) {
 // -nocluster ablation, and the pre-cluster per-individual dispatch path
 // (legacy wrapper) must agree bitwise on every fitness and on the full
 // scalar counter subset — the clustered path is an optimization, not a
-// semantic change.
+// semantic change. It runs under every cached Fig 10 combination: the
+// tree cache (TC) alone, with short-circuiting (ES), with runtime
+// compilation (RC), and with both.
 func TestClusterScalarParity(t *testing.T) {
 	_, obs, _ := smallData(t)
 	g, err := grammar.River(grammar.DefaultExtensions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := AllSpeedups(simCfg(obs))
+	for _, tc := range []struct {
+		name        string
+		es, compile bool
+	}{
+		{"TC", false, false},
+		{"TC+ES", true, false},
+		{"TC+RC", false, true},
+		{"TC+RC+ES", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := Options{UseCache: true, Simplify: true, UseShortCircuit: tc.es, UseCompile: tc.compile, Sim: simCfg(obs)}
 
-	popRef, stRef, quarRef := runPop(t, g, opts, 1, false, true) // legacy per-individual
-	popClu, stClu, quarClu := runPop(t, g, opts, 1, false, false)
-	popNoC, stNoC, quarNoC := runPop(t, g, opts, 1, true, false)
+			popRef, stRef, quarRef := runPop(t, g, opts, 1, false, true) // legacy per-individual
+			popClu, stClu, quarClu := runPop(t, g, opts, 1, false, false)
+			popNoC, stNoC, quarNoC := runPop(t, g, opts, 1, true, false)
 
-	comparePops(t, "clustered vs legacy", popClu, popRef)
-	comparePops(t, "nocluster vs legacy", popNoC, popRef)
-	if a, b := scalarSubset(stClu), scalarSubset(stRef); a != b {
-		t.Errorf("clustered counters %v != legacy %v", a, b)
-	}
-	if a, b := scalarSubset(stNoC), scalarSubset(stRef); a != b {
-		t.Errorf("nocluster counters %v != legacy %v", a, b)
-	}
-	if quarClu != quarRef || quarNoC != quarRef {
-		t.Errorf("quarantines: clustered %d, nocluster %d, legacy %d", quarClu, quarNoC, quarRef)
-	}
-	// The duplicate-heavy shape must actually exercise the lane path:
-	// multi-member clusters scheduled, lane batches launched from them.
-	if stClu.PopClusters == 0 || stClu.PopLaneBatches == 0 {
-		t.Errorf("clustered run scheduled %d clusters, %d lane batches; fixture is not exercising the lane path",
-			stClu.PopClusters, stClu.PopLaneBatches)
-	}
-	if stNoC.PopClusters != 0 || stNoC.PopScalarFallbacks == 0 {
-		t.Errorf("nocluster run: %d clusters, %d scalar fallbacks; ablation not routing through singletons",
-			stNoC.PopClusters, stNoC.PopScalarFallbacks)
+			comparePops(t, "clustered vs legacy", popClu, popRef)
+			comparePops(t, "nocluster vs legacy", popNoC, popRef)
+			if a, b := scalarSubset(stClu), scalarSubset(stRef); a != b {
+				t.Errorf("clustered counters %v != legacy %v", a, b)
+			}
+			if a, b := scalarSubset(stNoC), scalarSubset(stRef); a != b {
+				t.Errorf("nocluster counters %v != legacy %v", a, b)
+			}
+			if quarClu != quarRef || quarNoC != quarRef {
+				t.Errorf("quarantines: clustered %d, nocluster %d, legacy %d", quarClu, quarNoC, quarRef)
+			}
+			// The duplicate-heavy shape must schedule multi-member clusters
+			// (each with intra-cluster duplicates), and with compilation
+			// launch lane batches from them.
+			if stClu.PopClusters == 0 || tc.compile != (stClu.PopLaneBatches > 0) {
+				t.Errorf("clustered run scheduled %d clusters, %d lane batches (compile=%v); fixture is not exercising the cluster path",
+					stClu.PopClusters, stClu.PopLaneBatches, tc.compile)
+			}
+			if stRef.CacheHits == 0 {
+				t.Error("no tier-2 hits: the fixture's exact duplicates were never served from the cache")
+			}
+			if stNoC.PopClusters != 0 || stNoC.PopScalarFallbacks == 0 {
+				t.Errorf("nocluster run: %d clusters, %d scalar fallbacks; ablation not routing through singletons",
+					stNoC.PopClusters, stNoC.PopScalarFallbacks)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package evalx
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -57,37 +58,51 @@ func TestLaneBatchShortCircuits(t *testing.T) {
 }
 
 // TestLaneCountersInSnapshot: the lane telemetry flows through Stats and
-// its JSON record with the documented names.
+// its JSON record with the documented names, and counts only lane
+// launches: a one-member chunk runs the scalar loop and is not one.
 func TestLaneCountersInSnapshot(t *testing.T) {
 	forcing, obs, consts := smallData(t)
 	ind, _ := manualInd(t)
-	ev := New(forcing, obs, consts, Options{UseCache: true, UseCompile: true, Simplify: true, Sim: simCfg(obs)})
+	for _, tc := range []struct {
+		name             string
+		members          int
+		launches, filled int
+	}{
+		{"full+partial", expr.Lanes + 3, 2, expr.Lanes + 3},
+		{"full+one", expr.Lanes + 1, 1, expr.Lanes},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ev := New(forcing, obs, consts, Options{UseCache: true, UseCompile: true, Simplify: true, Sim: simCfg(obs)})
+			rng := rand.New(rand.NewSource(43))
+			paramSets := make([][]float64, tc.members)
+			for i := range paramSets {
+				paramSets[i] = jitterParams(rng, ind.Params)
+			}
+			ev.BeginBatch()
+			ev.EvaluateParamBatch(ind, paramSets, nil)
+			ev.EndBatch()
 
-	rng := rand.New(rand.NewSource(43))
-	members := expr.Lanes + 3 // two launches: one full, one partial
-	paramSets := make([][]float64, members)
-	for i := range paramSets {
-		paramSets[i] = jitterParams(rng, ind.Params)
-	}
-	ev.BeginBatch()
-	ev.EvaluateParamBatch(ind, paramSets, nil)
-	ev.EndBatch()
-
-	st := ev.Stats()
-	if st.LaneBatches != 2 {
-		t.Fatalf("LaneBatches = %d, want 2 for %d members", st.LaneBatches, members)
-	}
-	if st.LanesFilled != members {
-		t.Fatalf("LanesFilled = %d, want %d", st.LanesFilled, members)
-	}
-	b, err := json.Marshal(ev.Stats())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, field := range []string{`"lane_batches":2`, `"lanes_filled":11`, `"lane_short_circuits":0`} {
-		if !strings.Contains(string(b), field) {
-			t.Fatalf("snapshot JSON missing %s: %s", field, b)
-		}
+			st := ev.Stats()
+			if st.LaneBatches != tc.launches {
+				t.Fatalf("LaneBatches = %d, want %d for %d members", st.LaneBatches, tc.launches, tc.members)
+			}
+			if st.LanesFilled != tc.filled {
+				t.Fatalf("LanesFilled = %d, want %d", st.LanesFilled, tc.filled)
+			}
+			b, err := json.Marshal(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, field := range []string{
+				fmt.Sprintf(`"lane_batches":%d`, tc.launches),
+				fmt.Sprintf(`"lanes_filled":%d`, tc.filled),
+				`"lane_short_circuits":0`,
+			} {
+				if !strings.Contains(string(b), field) {
+					t.Fatalf("snapshot JSON missing %s: %s", field, b)
+				}
+			}
+		})
 	}
 }
 

@@ -6,15 +6,15 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"gmr/internal/bio"
 	"gmr/internal/faultinject"
+	"gmr/internal/gp"
 )
 
-// Per-member scoring (Algorithm 1). The scalar simulate, EvaluateParamBatch
-// and EvaluateCluster all score a simulation through one member: step folds
-// each simulated day into it, finish classifies and counts the outcome.
-// The lane kernel delivers bitwise-identical per-day values, so a member
-// scored in a lane launch gets exactly the fitness the scalar path gives.
+// Per-member scoring (Algorithm 1). Every simulated member of every entry
+// point is scored the same way: step folds each simulated day into its
+// member, finish classifies and counts the outcome. A lane launch delivers
+// the scalar loop's per-day values bit for bit, so a member's fitness does
+// not depend on the chunk it ran in.
 
 // minFrac is the fraction of fitness cases that must be simulated before
 // short-circuiting may trigger: the running RMSE over the first few days is
@@ -46,29 +46,28 @@ func (e *Evaluator) newScoring() scoring {
 	return s
 }
 
-// member is the running state and outcome of one scored simulation. The
-// scalar path keeps one on its stack; a lane launch keeps one per lane, so
-// one hook drives every member of a KernelLanes launch.
+// member is one member of a pipeline call (see run): its input, its
+// admission record and its running state and outcome. A lane launch keeps
+// one per lane, so one hook drives every member of a KernelLanes call.
 type member struct {
-	idx    int // index into the caller's out (or inds) slice
+	ind    *gp.Individual // the member's individual (shared by a parameter sweep)
 	params []float64
+	ent    *structEntry // the entry that simulates it, set on admission
+	site   uint64       // fault-injection and tier-2 shard site hash
+	// keyOff and keyLen locate a simulated member's tier-2 key within
+	// evalScratch.keys.
+	keyOff, keyLen int
+
 	poison int // fault-injected NaN step, -1 when clean
 	sse    float64
 	steps  int
 	scd    bool // short-circuited: fitness is the extrapolated surrogate
 	reason Reason
 
-	// The outcome, set by finish (fitness already by step on a short
-	// circuit).
+	// The outcome: a cache hit's or a quarantine's on admission, else set
+	// by finish (fitness already by step on a short circuit).
 	fitness float64
 	full    bool
-
-	// Cluster-path bookkeeping (EvaluateCluster): the member's tier-2 key
-	// within evalScratch.ckeys and its fault/shard site hash, kept so the
-	// commit loop can insert the simulated fitness into the tier-2 cache
-	// exactly like the scalar path.
-	keyOff, keyLen int
-	site           uint64
 }
 
 // step folds day t's simulated phytoplankton biomass into m and reports
@@ -148,83 +147,67 @@ func (e *Evaluator) poisonStep(h uint64) int {
 	return -1
 }
 
-// kernel simulates ps over ent's plan in one bio.KernelLanes call, under
-// the pprof label eval_phase=step-kernel when profile labels are on.
-func (e *Evaluator) kernel(ent *structEntry, ps [][]float64, sc *evalScratch, hook bio.LaneHook, onLaunch func(int, time.Time, time.Duration)) {
-	if !e.opts.ProfileLabels {
-		ent.seg.KernelLanes(ent.plan, e.opts.Sim, &sc.sim, ps, hook, onLaunch)
+// score simulates the admitted misses ms[miss], which share one structure
+// entry, and finishes each in input order: one KernelLanes call for a
+// compiled entry (exogenous work served from its tier-1.5 plan, under the
+// pprof label eval_phase=step-kernel when profile labels are on),
+// System.RunBuf per member for a tree entry (the Fig 10 "no RC" baseline).
+// A member that short-circuits or aborts drops out of its lane launch
+// mid-flight (lane compaction), so UseShortCircuit saves real work.
+//
+// Only a chunk of two or more members is a lane launch: the lane counters
+// (and, under the population policy, the pop_ lane counters) and the
+// evalx.lane_batch span count those; a one-member chunk runs the scalar
+// loop and is recorded as an evalx.simulate span.
+func (e *Evaluator) score(ms []member, miss []int, pol policy, sc *evalScratch) {
+	ent, s := ms[miss[0]].ent, e.newScoring()
+	if ent.seg == nil {
+		for _, i := range miss {
+			m := &ms[i]
+			ent.tree.RunBuf(e.forcing, m.params, e.opts.Sim, &sc.sim, func(t int, bphy float64) bool { return m.step(&s, t, bphy) })
+			e.finish(m)
+		}
 		return
 	}
-	pprof.Do(context.Background(), pprof.Labels("eval_phase", "step-kernel"), func(context.Context) {
-		ent.seg.KernelLanes(ent.plan, e.opts.Sim, &sc.sim, ps, hook, onLaunch)
-	})
-}
-
-// simulate runs one forward simulation and scores it: a one-member
-// KernelLanes call (the scalar loop) for a compiled structure, the tree
-// interpreter otherwise. It returns the fitness (final RMSE, or the
-// extrapolated surrogate when short-circuited) and whether the evaluation
-// was full.
-//
-// site is the deterministic fault-injection site hash of this evaluation;
-// when the NaN fault class fires, one simulation step (chosen from the
-// hash) is poisoned with NaN, exercising the numeric quarantine end to end.
-func (e *Evaluator) simulate(ent *structEntry, params []float64, sc *evalScratch, site uint64) (float64, bool) {
-	s := e.newScoring()
-	m := member{params: params, poison: e.poisonStep(site)}
-	if ent.seg != nil {
-		// Segmented path (DESIGN.md §10): exogenous work is served from
-		// the tier-1.5 plan, the parameter prologue runs once, and only
-		// the state-dependent STEP segment runs per substep.
-		e.planFor(ent)
-		sc.laneParams = append(sc.laneParams[:0], params)
-		span := e.tracer.Start("evalx.simulate")
-		e.kernel(ent, sc.laneParams, sc, func(_, t int, bphy float64) bool { return m.step(&s, t, bphy) }, nil)
-		span.End()
-	} else {
-		ent.tree.RunBuf(e.forcing, params, e.opts.Sim, &sc.sim, func(t int, bphy float64) bool { return m.step(&s, t, bphy) })
+	ps := sc.params[:0]
+	for _, i := range miss {
+		e.planFor(ent) // counted per simulated member
+		ps = append(ps, ms[i].params)
 	}
-	e.finish(&m)
-	return m.fitness, m.full
-}
-
-// laneMember admits a tier-2 miss to a lane launch. The plan lookup is
-// counted per simulated member, exactly like the scalar path's planFor
-// inside simulate.
-func (e *Evaluator) laneMember(ent *structEntry, idx int, params []float64, site uint64) member {
-	e.planFor(ent)
-	return member{idx: idx, params: params, poison: e.poisonStep(site), site: site}
-}
-
-// scoreLanes scores pending members of one structure through
-// bio.KernelLanes, expr.Lanes members per launch, then finishes each member
-// in order. A member that short-circuits or aborts drops out of its launch
-// mid-flight (lane compaction), so UseShortCircuit saves real work inside
-// batches. It returns the number of launches.
-func (e *Evaluator) scoreLanes(ent *structEntry, pending []member, sc *evalScratch) int {
-	s := e.newScoring()
-	ps := sc.laneParams[:0]
-	for i := range pending {
-		ps = append(ps, pending[i].params)
-	}
-	sc.laneParams = ps
-	hook := func(m, t int, bphy float64) bool { return pending[m].step(&s, t, bphy) }
-	launches := 0
+	sc.params = ps
+	done, drops := 0, sc.sim.LaneDrops
 	onLaunch := func(n int, start time.Time, d time.Duration) {
-		launches++
+		chunk := miss[done : done+n]
+		done += n
+		dropped := sc.sim.LaneDrops - drops
+		drops = sc.sim.LaneDrops
+		if n == 1 {
+			e.tracer.Observe("evalx.simulate", start, d)
+			return
+		}
+		e.tracer.Observe("evalx.lane_batch", start, d)
 		e.ctr[cLaneBatches].Add(1)
 		e.ctr[cLanesFilled].Add(int64(n))
-		e.tracer.Observe("evalx.lane_batch", start, d)
-	}
-	dropsBefore := sc.sim.LaneDrops
-	e.kernel(ent, ps, sc, hook, onLaunch)
-	e.ctr[cLaneCompactions].Add(int64(sc.sim.LaneDrops - dropsBefore))
-	for i := range pending {
-		m := &pending[i]
-		e.finish(m)
-		if m.scd {
-			e.ctr[cLaneShortCircuits].Add(1)
+		e.ctr[cLaneCompactions].Add(int64(dropped))
+		for _, i := range chunk {
+			if ms[i].scd {
+				e.ctr[cLaneShortCircuits].Add(1)
+			}
+		}
+		if pol == population {
+			e.ctr[cPopLaneBatches].Add(1)
+			e.ctr[cPopLanesFilled].Add(int64(n))
 		}
 	}
-	return launches
+	kernel := func() {
+		ent.seg.KernelLanes(ent.plan, e.opts.Sim, &sc.sim, ps, func(j, t int, bphy float64) bool { return ms[miss[j]].step(&s, t, bphy) }, onLaunch)
+	}
+	if e.opts.ProfileLabels {
+		pprof.Do(context.Background(), pprof.Labels("eval_phase", "step-kernel"), func(context.Context) { kernel() })
+	} else {
+		kernel()
+	}
+	for _, i := range miss {
+		e.finish(&ms[i])
+	}
 }

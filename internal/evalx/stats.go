@@ -42,13 +42,13 @@ type Stats struct {
 	BatchMembers   int `json:"batch_members"`    // parameter vectors evaluated through the batch API
 
 	// Lane-batched kernel counters (DESIGN.md §11): one lane batch is one
-	// KernelLanes launch scoring up to expr.Lanes members per instruction
-	// dispatch. LanesFilled/LaneBatches is the average fill;
-	// LaneShortCircuits is the subset of ShortCircuits decided on the lane
-	// path.
-	LaneBatches       int `json:"lane_batches"`        // KernelLanes launches
+	// lane launch, a KernelLanes chunk of 2 to expr.Lanes members sharing
+	// each instruction dispatch. A one-member chunk runs the scalar loop
+	// and is not counted. LanesFilled/LaneBatches is the average fill;
+	// LaneShortCircuits is the subset of ShortCircuits decided in a launch.
+	LaneBatches       int `json:"lane_batches"`        // lane launches (chunks of ≥ 2 members)
 	LanesFilled       int `json:"lanes_filled"`        // members carried by those launches
-	LaneShortCircuits int `json:"lane_short_circuits"` // short circuits decided on the lane path
+	LaneShortCircuits int `json:"lane_short_circuits"` // short circuits decided in those launches
 	LaneCompactions   int `json:"lane_compactions"`    // lanes compacted away mid-launch (aborts + early stops)
 
 	// Structure-clustered population-scheduler counters (DESIGN.md §14):
@@ -56,7 +56,7 @@ type Stats struct {
 	// through EvaluateCluster; scalar fallbacks are singleton clusters
 	// (unique structures, failed derivations, or the -nocluster ablation).
 	// PopLaneBatches/PopLanesFilled are the subset of LaneBatches/
-	// LanesFilled launched from the population path, and the histogram
+	// LanesFilled launched by EvaluateCluster, and the histogram
 	// buckets cluster sizes at powers of two (1, 2, ≤4, ≤8, ..., >64).
 	PopClusters        int                 `json:"pop_clusters"`
 	PopScalarFallbacks int                 `json:"pop_scalar_fallbacks"`

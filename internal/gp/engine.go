@@ -70,9 +70,9 @@ type Config struct {
 	// along with the initial structure).
 	InitParams []float64
 	// NoCluster disables structure clustering in the population scheduler
-	// (DESIGN.md §14): every individual becomes a singleton cluster, so
-	// generation evaluation runs through the scalar path of the identical
-	// code path (the -nocluster ablation). It changes performance only;
+	// (DESIGN.md §14): every individual becomes a singleton cluster, scored
+	// one member per evaluator call through the same code path with no
+	// lane launches (the -nocluster ablation). It changes performance only;
 	// fitnesses, quarantine decisions, and RNG streams are bitwise
 	// identical either way.
 	NoCluster bool
@@ -796,10 +796,10 @@ func (e *Engine) runParamChunk(base *Individual, chunk []*Individual) {
 //
 // The batch runs through the structure-clustered scheduler (DESIGN.md §14):
 // resolve+memoize every structure key in parallel, partition the population
-// by key, and score each cluster through the lane-batched kernel in
-// laneChunk-sized jobs. The partition depends only on the memoized keys
-// (fixed before any evaluation is dispatched), and per-member semantics
-// inside a cluster equal sequential scalar evaluation, so fitnesses stay
+// by key, and score each cluster in laneChunk-sized jobs, one evaluator
+// call (at most one lane launch) per job. The partition depends only on the
+// memoized keys (fixed before any evaluation is dispatched), and per-member
+// semantics inside a cluster equal sequential evaluation, so fitnesses stay
 // bitwise identical for any worker count. A plain Evaluator skips the
 // resolve phase and runs every individual as a singleton through Evaluate.
 func (e *Engine) evaluatePop(pop []*Individual, followUp func(*Individual, *rand.Rand) int) {
@@ -818,7 +818,7 @@ func (e *Engine) evaluatePop(pop []*Individual, followUp func(*Individual, *rand
 	var wg sync.WaitGroup
 	var evals atomic.Int64
 	// Phase 0: resolve and memoize every unevaluated individual's structure
-	// key in parallel. This is the counted resolution step of a scalar
+	// key in parallel. This is the counted resolution step of an
 	// Evaluate call (tier-1 hit or derive+compile), hoisted ahead of the
 	// partition; EvaluateCluster will not resolve again.
 	for _, ind := range pop {
@@ -862,8 +862,8 @@ func (e *Engine) evaluatePop(pop []*Individual, followUp func(*Individual, *rand
 // together (population order within a cluster, first-seen order across
 // clusters); key-less individuals (failed derivations) are singletons.
 // Under Config.NoCluster every individual is a singleton, which routes the
-// whole generation through EvaluateCluster's scalar path — the ablation
-// exercises the identical code path minus the lane batching. A plain
+// whole generation through one-member EvaluateCluster calls — the ablation
+// exercises the identical code path minus the lane launches. A plain
 // Evaluator's individuals are singletons too.
 // The partition is returned as a flat cluster-grouped member order plus
 // per-cluster end offsets, built in reusable engine scratch — the steady
@@ -935,8 +935,8 @@ func (e *Engine) clusterPop(pop []*Individual) (order []*Individual, ends []int)
 // runCluster scores one cluster chunk with panic isolation. EvaluateCluster
 // commits every member preceding a panicking one (see the ClusterEvaluator
 // panic protocol), so on recovery the first still-unevaluated member is the
-// panicker: quarantine it — same decision, same +Inf as the scalar path's
-// safeEvaluate — and re-invoke on the remainder until the chunk is done.
+// panicker: quarantine it — same decision, same +Inf as safeEvaluate —
+// and re-invoke on the remainder until the chunk is done.
 // A plain Evaluator's chunk is one singleton, scored by safeEvaluate.
 func (e *Engine) runCluster(chunk []*Individual) {
 	if e.ce == nil {

@@ -143,14 +143,17 @@ type ClusterEvaluator interface {
 	// it. It must be equivalent to evaluating len(params) copies of ind
 	// with the respective parameter vectors (same fitness, same fault
 	// behavior), and safe for concurrent calls between BeginBatch and
-	// EndBatch. It must not mutate ind.
+	// EndBatch. It must not mutate ind. When a member's evaluation
+	// panics, the panic escapes and no result reaches the caller.
 	EvaluateParamBatch(ind *Individual, params [][]float64, out []BatchResult) []BatchResult
 	// ResolveStruct resolves the individual's executable structure through
 	// the evaluator's structure cache and memoizes the canonical key on the
 	// individual (StructKey), without simulating. It must count exactly the
 	// resolution work that the front of a plain Evaluate call would count,
 	// because EvaluateCluster skips that step: one ResolveStruct followed by
-	// one EvaluateCluster must leave the same counter trail as Evaluate.
+	// a one-member EvaluateCluster must leave the same counter trail as
+	// Evaluate, and a larger cluster the trail of its members' Evaluate
+	// calls.
 	ResolveStruct(ind *Individual)
 	// NoteCluster records one scheduled evaluation cluster of the given
 	// size (telemetry only: cluster counts, scalar fallbacks, and the
