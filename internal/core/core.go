@@ -117,6 +117,7 @@ type runSetup struct {
 	precal   calib.Objective
 	lo, hi   []float64
 	budget   int
+	tracer   *obs.Tracer
 }
 
 func prepare(ds *dataset.Dataset, cfg Config) (*runSetup, error) {
@@ -139,7 +140,7 @@ func prepare(ds *dataset.Dataset, cfg Config) (*runSetup, error) {
 		evalOpts.Tracer = cfg.Tracer
 	}
 
-	s := &runSetup{g: g, gpCfg: gpCfg, evalOpts: evalOpts}
+	s := &runSetup{g: g, gpCfg: gpCfg, evalOpts: evalOpts, tracer: cfg.Tracer}
 	// Pre-calibration of the unrevised process: each run starts from its
 	// own calibrated parameter vector (different calibration seeds find
 	// different basins of the multimodal box, and the runs then explore
@@ -175,6 +176,7 @@ func (s *runSetup) calibrate(idx int, runCfg gp.Config) gp.Config {
 	if s.precal == nil {
 		return runCfg
 	}
+	defer s.tracer.Start("core.precal").End()
 	rng := stats.NewRand(runCfg.Seed ^ 0x5ca1ab1e)
 	var c calib.Calibrator = calib.NewGA()
 	if idx%2 == 1 {
@@ -207,7 +209,9 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, cfg Config) (*Result, 
 		return nil, fmt.Errorf("core: negative run count %d", cfg.Runs)
 	}
 	cfg = cfg.withDefaults()
+	setup := cfg.Tracer.Start("core.setup")
 	s, err := prepare(ds, cfg)
+	setup.End()
 	if err != nil {
 		return nil, err
 	}
@@ -275,8 +279,12 @@ type IslandOptions struct {
 // interruption status).
 func RunIslands(ctx context.Context, ds *dataset.Dataset, cfg Config, opts IslandOptions) (*Result, *orchestrator.Result, error) {
 	cfg = cfg.withDefaults()
+	// core.setup covers the grammar, the evaluators and the engines; the
+	// islands' pre-calibrations inside orchestrator.New are core.precal.
+	setup := cfg.Tracer.Start("core.setup")
 	s, err := prepare(ds, cfg)
 	if err != nil {
+		setup.End()
 		return nil, nil, err
 	}
 
@@ -308,6 +316,7 @@ func RunIslands(ctx context.Context, ds *dataset.Dataset, cfg Config, opts Islan
 		}
 	}
 	o, err := orchestrator.New(ocfg)
+	setup.End()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -338,6 +347,7 @@ func RunIslands(ctx context.Context, ds *dataset.Dataset, cfg Config, opts Islan
 // finalize post-processes the pooled candidate models per the paper's
 // reporting protocol and fills in the Result's best-model fields.
 func finalize(ds *dataset.Dataset, cfg Config, evalOpts evalx.Options, pool []*gp.Individual, res *Result) (*Result, error) {
+	defer cfg.Tracer.Start("core.finalize").End()
 	// Deduplicate the pool by model identity, keep the (2×TopK)
 	// train-fittest candidates, then rank them by test RMSE — the
 	// paper's reporting protocol (Section IV-D: "best models denote

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -312,5 +313,45 @@ func TestAnalyzeParamSensitivity(t *testing.T) {
 	}
 	if _, err := AnalyzeParamSensitivity(nil, nil, nil, bio.SimConfig{}); err == nil {
 		t.Error("nil individual accepted")
+	}
+}
+
+// TestRunIslandsCoreSpans: a traced island run names its serial work
+// outside the generation loop — one core.setup (grammar, evaluators,
+// engines), one core.precal per island inside it, and one core.finalize.
+func TestRunIslandsCoreSpans(t *testing.T) {
+	const islands = 3
+	var mu sync.Mutex
+	spans := map[string][]obs.SpanRecord{}
+	cfg := smallCfg(2)
+	cfg.GP.PopSize = 10
+	cfg.GP.MaxGen = 2
+	cfg.PreCalibrateBudget = 30
+	cfg.Tracer = obs.NewTracer(obs.TracerConfig{SlowThreshold: time.Nanosecond, SlowLog: func(r obs.SpanRecord) {
+		if strings.HasPrefix(r.Name, "core.") {
+			mu.Lock()
+			spans[r.Name] = append(spans[r.Name], r)
+			mu.Unlock()
+		}
+	}})
+	if _, _, err := RunIslands(context.Background(), smallDS(t), cfg, IslandOptions{Islands: islands}); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]int{"core.setup": 1, "core.precal": islands, "core.finalize": 1} {
+		if got := len(spans[name]); got != want {
+			t.Errorf("%s recorded %d times, want %d", name, got, want)
+		}
+	}
+	if t.Failed() {
+		return
+	}
+	setup := spans["core.setup"][0]
+	for _, p := range spans["core.precal"] {
+		if p.Start.Before(setup.Start) || p.Start.Add(p.Dur).After(setup.Start.Add(setup.Dur)) {
+			t.Errorf("core.precal %v+%v outside core.setup %v+%v", p.Start, p.Dur, setup.Start, setup.Dur)
+		}
+	}
+	if fin := spans["core.finalize"][0]; fin.Start.Before(setup.Start.Add(setup.Dur)) {
+		t.Error("core.finalize starts before core.setup ends")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"gmr/internal/obs"
 )
@@ -138,5 +139,41 @@ func TestSharedRegistryOneExposition(t *testing.T) {
 	defer ts2.Close()
 	if scrapeMetric(t, ts2.URL, "gmr_serve_lane_batches_total") < 1 {
 		t.Fatal("restart reset shared counters")
+	}
+}
+
+// TestCohortDispatchesByReason: every cohort that leaves the batcher is
+// counted once under why it left, so a scrape shows which rule served the
+// traffic. On a fresh server a lone forecast leaves at once ("idle"); a
+// second one right behind it means partners are due, so it waits out the
+// window. With MaxBatch 1 every request is a full cohort.
+func TestCohortDispatchesByReason(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		maxBatch int
+		want     map[string]float64
+	}{
+		{"batched", 0, map[string]float64{"idle": 1, "window": 1}},
+		{"maxbatch1", 1, map[string]float64{"full": 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, _ := newTestServer(t, func(c *Config) {
+				c.MaxBatch = tc.maxBatch
+				c.BatchWindow = 200 * time.Millisecond
+			})
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			for i := 0; i < 2; i++ {
+				if _, code, err := s.Forecast(context.Background(), &ForecastRequest{Days: 7}); err != nil {
+					t.Fatalf("forecast: %v (%s)", err, code)
+				}
+			}
+			for _, reason := range dispatchReasons {
+				got := scrapeMetric(t, ts.URL, `gmr_serve_cohort_dispatches_total{reason="`+reason+`"}`)
+				if got != tc.want[reason] {
+					t.Errorf("dispatches{reason=%q} = %v, want %v", reason, got, tc.want[reason])
+				}
+			}
+		})
 	}
 }
