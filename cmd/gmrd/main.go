@@ -65,7 +65,7 @@ func runServe(ctx context.Context, args []string, out io.Writer, announce func(a
 		subSteps  = fs.Int("substeps", 2, "Euler substeps per day (must match the training regime)")
 
 		maxBatch    = fs.Int("max-batch", 0, "cohort size cap, 1..8 (0 = lane width; 1 disables micro-batching)")
-		batchWindow = fs.Duration("batch-window", 2*time.Millisecond, "how long a cohort waits for co-batchable requests")
+		batchWindow = fs.Duration("batch-window", 2*time.Millisecond, "longest a cohort waits for co-batchable requests; a lone request at low load does not wait")
 		queueSize   = fs.Int("queue", 256, "admission queue bound (full queue sheds with 429)")
 		workers     = fs.Int("workers", 0, "cohort executor pool size (0 = GOMAXPROCS)")
 

@@ -46,8 +46,11 @@ type Config struct {
 	// (default laneWidth). 1 disables batching: every request is its own
 	// single-lane cohort through the identical kernel path.
 	MaxBatch int
-	// BatchWindow is how long a cohort waits for co-batchable requests
-	// after its first member arrives (default 2ms).
+	// BatchWindow is the longest a cohort waits for co-batchable
+	// requests after its first member arrives (default 2ms). It is an
+	// upper bound: while requests arrive further apart than the window on
+	// average, a cohort goes out as soon as the queue is empty and a
+	// worker is idle (batcher.go).
 	BatchWindow time.Duration
 	// QueueSize bounds the admission queue (default 256); a full queue
 	// sheds with 429.
