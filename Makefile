@@ -46,11 +46,13 @@ fuzz:
 # checkpoint truncation, resume-under-faults determinism), the
 # clustered-scheduler differential tests (cluster/scalar/worker-count
 # parity, with and without faults) and the divergent-member quarantine of
-# every lane-kernel caller under the race detector, and concurrent
-# on-demand fills of one shared exogenous plan.
+# every lane-kernel caller under the race detector, concurrent on-demand
+# fills of one shared exogenous plan, and island runs whose
+# pre-calibrations and final candidate scoring run concurrently.
 chaos:
 	$(GO) test -race ./internal/faultinject/
 	$(GO) test -race -count=10 -run TestExogPlanConcurrentFill ./internal/bio/
+	$(GO) test -race -count=3 -run 'TestGoldenIslands|TestRunIslandsCoreSpans' . ./internal/core/
 	$(GO) test -race -run 'Chaos|Cluster|Fault|Quarantine|Backup|Truncation' \
 		./internal/evalx/ ./internal/gp/ ./internal/orchestrator/ \
 		./internal/ensemble/ ./internal/serve/

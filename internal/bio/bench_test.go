@@ -56,3 +56,24 @@ func BenchmarkKernelLanes(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkExogPlanFill measures the EXOG segment on time lanes: each
+// iteration fills a fresh 3653-day (ten-year) plan of the manual process,
+// every block, from empty.
+func BenchmarkExogPlanFill(b *testing.B) {
+	phy, zoo, _, forcing := manualWorkload(b)
+	seg, err := NewSegSystem(phy, zoo)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const days = 3653
+	long := make([][]float64, days)
+	for t := range long {
+		long[t] = forcing[t%len(forcing)]
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seg.NewExogPlan(long).block((days - 1) / planBlock)
+	}
+}

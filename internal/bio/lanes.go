@@ -66,7 +66,9 @@ func (s *SegSystem) KernelLanes(plan *ExogPlan, cfg SimConfig, sc *SimScratch, p
 // compute real, finite values and are never reported).
 func (s *SegSystem) launchLanes(plan *ExogPlan, cfg SimConfig, sc *SimScratch, base int, chunk [][]float64, hook LaneHook) {
 	const L = expr.Lanes
-	sc.regsLanes = growBuf(sc.regsLanes, s.Prog.LaneRegs())
+	prog, k := s.Prog, plan.k
+	_, regs := sc.regFiles(prog.NumRegs())
+	_, vars := sc.varFiles()
 	for l := range sc.paramLanes {
 		if l < len(chunk) {
 			sc.paramLanes[l] = chunk[l]
@@ -74,11 +76,8 @@ func (s *SegSystem) launchLanes(plan *ExogPlan, cfg SimConfig, sc *SimScratch, b
 			sc.paramLanes[l] = chunk[0]
 		}
 	}
-	s.Prog.EvalParamLanes(&sc.paramLanes, sc.regsLanes)
+	prog.EvalParamLanes(&sc.paramLanes, regs)
 	n := len(chunk)
-	sc.varsLanes = growBuf(sc.varsLanes, NumVars*L)
-	vars, regs := sc.varsLanes, sc.regsLanes
-	prog, k := s.Prog, plan.k
 	h := 1.0 / float64(cfg.SubSteps)
 
 	var bphy, bzoo [L]float64

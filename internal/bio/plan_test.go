@@ -100,15 +100,17 @@ func laneTraces(seg *SegSystem, plan *ExogPlan, params [][]float64, stops []int)
 }
 
 // TestExogPlanOnDemandMatchesEager: across windows on both sides of the
-// block size, rows filled through the scalar loop and the lanes equal the eager
-// matrix bitwise, and so do the traces of both kernels; a reader stopping
-// after day d fills exactly ⌈(d+1)/planBlock⌉ blocks (none when k == 0),
-// and the plan drops its forcing rows exactly when every block is filled.
+// block size and of a group of expr.Lanes time lanes, rows filled through
+// the scalar loop and the lanes equal the eager matrix bitwise, and so do
+// the traces of both kernels; a reader stopping after day d (inside, at the
+// end of, or just past a group included) fills exactly ⌈(d+1)/planBlock⌉
+// blocks (none when k == 0), and the plan drops its forcing rows exactly
+// when every block is filled.
 func TestExogPlanOnDemandMatchesEager(t *testing.T) {
 	consts := DefaultConstants()
 	rng := rand.New(rand.NewSource(17))
 	for name, seg := range planSystems(t) {
-		for _, days := range []int{1, 127, 128, 129, 3653} {
+		for _, days := range []int{1, 7, 8, 9, 127, 128, 129, 3653} {
 			forcing := randForcing(rng, days)
 			want := eagerRows(seg, forcing)
 			ref := eagerPlan(seg, forcing)
@@ -116,7 +118,7 @@ func TestExogPlanOnDemandMatchesEager(t *testing.T) {
 			params := [][]float64{Means(consts), randBoxParams(rng, consts), randBoxParams(rng, consts)}
 
 			stops := []int{-1}
-			for _, d := range []int{0, 126, 127, 128, 129, days / 2, days - 1} {
+			for _, d := range []int{0, 6, 7, 8, 126, 127, 128, 129, days / 2, days - 1} {
 				if d < days {
 					stops = append(stops, d)
 				}
@@ -213,7 +215,7 @@ func TestExogPlanConcurrentFill(t *testing.T) {
 	if !bitsEqual(filledRows(shared), eagerRows(seg, forcing)) {
 		t.Fatal("concurrently filled rows differ from eager EvalExog")
 	}
-	if shared.forcing != nil || shared.regs != nil {
-		t.Fatal("a fully filled plan still holds its forcing rows or register file")
+	if shared.forcing != nil {
+		t.Fatal("a fully filled plan still holds its forcing rows")
 	}
 }

@@ -20,6 +20,12 @@ import (
 //   - PARAM instructions run once per parameter vector;
 //   - DAY instructions run once per day (forcing is constant within a day).
 //
+// EXOG and DAY read no state, so the plan fill and the scalar loop run them
+// on time lanes: expr.Lanes consecutive days per instruction dispatch, one
+// day per lane (expr.EvalExogLanes; LoadExogRowsLanes + EvalDayLanes with
+// the member's parameters in every lane). Only STEP runs scalar, reading
+// its day's EXOG and DAY values out of that day's lane.
+//
 // KernelLanes (lanes.go) is the one entry point: a lone member runs the
 // scalar loop below, two or more run on the lanes. Semantics (Euler
 // stepping, clamping, non-finite abort, per-day hook and early stop) match
@@ -47,8 +53,12 @@ func NewSegSystem(phy, zoo *expr.Node) (*SegSystem, error) {
 	return &SegSystem{Prog: p}, nil
 }
 
-// planBlock is the number of forcing days an ExogPlan fills at a time.
+// planBlock is the number of forcing days an ExogPlan fills at a time. It
+// is a multiple of expr.Lanes, so a group of time lanes never straddles two
+// blocks and a run stopped at day d fills ⌈(d+1)/planBlock⌉ blocks.
 const planBlock = 128
+
+const _ uint = -(planBlock % expr.Lanes) // compile error unless a multiple
 
 // ExogPlan is the hoisted exogenous matrix for one (SegSystem, forcing
 // series) pair: plan row t holds the k live-out exogenous register values
@@ -65,11 +75,15 @@ type ExogPlan struct {
 	prog    *expr.RegProgram
 	days, k int
 	built   atomic.Int64 // blocks[:built] are filled
-	mu      sync.Mutex   // serializes fills; guards forcing and regs
+	mu      sync.Mutex   // serializes fills; guards forcing
 	forcing [][]float64  // nil once every block is filled
-	regs    []float64
 	blocks  [][]float64
 }
+
+// fillRegs pools the lane register files that plan fills run on: a fill
+// needs one only while it runs, and a cached plan may wait for its next
+// block for as long as its structure stays cached.
+var fillRegs = sync.Pool{New: func() any { return new([]float64) }}
 
 // Days returns the number of forcing rows the plan covers.
 func (p *ExogPlan) Days() int { return p.days }
@@ -99,67 +113,80 @@ func (p *ExogPlan) block(b int) []float64 {
 	return p.blocks[b]
 }
 
-// fill extends the watermark through block b. Filling the last block
-// releases the forcing rows and the register file.
+// fill extends the watermark through block b, on time lanes. Filling the
+// last block releases the forcing rows.
 func (p *ExogPlan) fill(b int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	regs := fillRegs.Get().(*[]float64)
+	defer fillRegs.Put(regs)
+	*regs = growBuf(*regs, p.prog.LaneRegs())
 	for n := int(p.built.Load()); n <= b; n++ {
-		if p.regs == nil {
-			p.regs = make([]float64, p.prog.NumRegs())
-		}
 		rows := p.forcing[n*planBlock : min((n+1)*planBlock, p.days)]
 		blk := make([]float64, len(rows)*p.k)
-		p.prog.EvalExog(rows, p.regs, blk)
+		p.prog.EvalExogLanes(rows, *regs, blk)
 		p.blocks[n] = blk
 		p.built.Store(int64(n + 1))
 		if n == len(p.blocks)-1 {
-			p.forcing, p.regs = nil, nil
+			p.forcing = nil
 		}
 	}
 }
 
 // runOne is KernelLanes for a chunk of one member: the scalar loop, which
 // runs the member's PARAM prologue and then integrates it alone, reporting
-// to hook as member under the LaneHook protocol. An early stop (non-finite
-// abort or a false hook) counts in sc.LaneDrops, as the lone lane's drop
-// would. A launch computes all expr.Lanes lanes whatever it holds, so a
-// lone member costs several scalar runs on the lanes (DESIGN.md §10).
+// to hook as member under the LaneHook protocol. DAY runs on time lanes,
+// expr.Lanes days per dispatch with the member's parameters in every lane,
+// a group ahead of the substeps; a run that stops inside a group has
+// computed the rest of its DAY values for nothing, and reads no plan block
+// it would not have read day by day. An early stop (non-finite abort or a
+// false hook) counts in sc.LaneDrops, as the lone lane's drop would. A
+// launch computes all expr.Lanes lanes whatever it holds, so a lone member
+// costs several scalar runs on the lanes (DESIGN.md §10).
 func (s *SegSystem) runOne(plan *ExogPlan, cfg SimConfig, sc *SimScratch, member int, params []float64, hook LaneHook) {
+	const L = expr.Lanes
 	prog, k := s.Prog, plan.k
-	sc.regs = growBuf(sc.regs, prog.NumRegs())
-	sc.vars = growBuf(sc.vars, NumVars)
-	vars, regs := sc.vars, sc.regs
+	regs, dayRegs := sc.regFiles(prog.NumRegs())
+	vars, _ := sc.varFiles()
 	prog.EvalParam(params, regs)
+	for l := range sc.paramLanes {
+		sc.paramLanes[l] = params
+	}
+	prog.EvalParamLanes(&sc.paramLanes, dayRegs)
 	bphy, bzoo := cfg.Phy0, cfg.Zoo0
 	h := 1.0 / float64(cfg.SubSteps)
 	var rows []float64 // the rest of the current plan block, k values per day
-	for t := 0; t < plan.days; t++ {
+	for t0 := 0; t0 < plan.days; t0 += L {
+		n := min(L, plan.days-t0)
 		if k > 0 {
 			if len(rows) == 0 {
-				rows = plan.block(t / planBlock)
+				rows = plan.block(t0 / planBlock)
 			}
-			prog.LoadExogRow(rows[:k], regs)
-			rows = rows[k:]
+			prog.LoadExogRowsLanes(rows[:n*k], dayRegs)
+			rows = rows[n*k:]
 		}
-		prog.EvalDay(regs)
-		for step := 0; step < cfg.SubSteps; step++ {
-			vars[IdxBPhy] = bphy
-			vars[IdxBZoo] = bzoo
-			prog.EvalStep(vars, regs)
-			bphy += h * prog.Root(0, regs)
-			bzoo += h * prog.Root(1, regs)
-			if bad, abort := nonFinite(bphy, bzoo); abort {
-				hook(member, t, bad)
+		prog.EvalDayLanes(dayRegs)
+		for l := 0; l < n; l++ {
+			t := t0 + l
+			prog.LoadStepInputs(l, dayRegs, regs)
+			for step := 0; step < cfg.SubSteps; step++ {
+				vars[IdxBPhy] = bphy
+				vars[IdxBZoo] = bzoo
+				prog.EvalStep(vars, regs)
+				bphy += h * prog.Root(0, regs)
+				bzoo += h * prog.Root(1, regs)
+				if bad, abort := nonFinite(bphy, bzoo); abort {
+					hook(member, t, bad)
+					sc.LaneDrops++
+					return
+				}
+				bphy = clamp(bphy, cfg.ClampMin, cfg.ClampMax)
+				bzoo = clamp(bzoo, cfg.ClampMin, cfg.ClampMax)
+			}
+			if !hook(member, t, bphy) {
 				sc.LaneDrops++
 				return
 			}
-			bphy = clamp(bphy, cfg.ClampMin, cfg.ClampMax)
-			bzoo = clamp(bzoo, cfg.ClampMin, cfg.ClampMax)
-		}
-		if !hook(member, t, bphy) {
-			sc.LaneDrops++
-			return
 		}
 	}
 }

@@ -120,6 +120,15 @@ func sameTrace(a, b *stepTrace) bool {
 	return true
 }
 
+// canonNaN replaces every NaN in a trace with math.NaN()'s bits.
+func canonNaN(tr *stepTrace) {
+	for i, v := range tr.vals {
+		if math.IsNaN(math.Float64frombits(v)) {
+			tr.vals[i] = math.Float64bits(math.NaN())
+		}
+	}
+}
+
 func bitsEqual(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -135,7 +144,9 @@ func bitsEqual(a, b []float64) bool {
 // TestSegSystemMatchesTreeSystem: over fixed system shapes × random
 // forcing × random parameters × several SimConfigs (including disabled
 // clamps and early stops), the segmented path reproduces the tree
-// interpreter bitwise, predictions and perStep traces alike.
+// interpreter bitwise, predictions and perStep traces alike, also over
+// windows that end at the edges of a group of time lanes and runs that
+// abort inside one.
 func TestSegSystemMatchesTreeSystem(t *testing.T) {
 	consts := DefaultConstants()
 	paramIdx := ParamIndex(consts)
@@ -176,6 +187,41 @@ func TestSegSystemMatchesTreeSystem(t *testing.T) {
 			full := tree.Predict(forcing, params, cfg)
 			if !bitsEqual(full, seg.Predict(forcing, params, cfg)) {
 				t.Fatalf("system %d trial %d: SegSystem.Predict diverges from the tree", si, trial)
+			}
+		}
+
+		// Windows of 7, 9 and 17 days (ending inside a group of
+		// expr.Lanes time lanes, one day past one group, one day past
+		// two), whole and with a NaN forcing row that aborts the run
+		// inside a group.
+		for _, w := range []struct{ days, nanDay int }{{7, 3}, {9, 4}, {17, 11}} {
+			for _, poison := range []bool{false, true} {
+				forcing := randForcing(rng, w.days)
+				if poison {
+					for j := range forcing[w.nanDay] {
+						forcing[w.nanDay][j] = math.NaN()
+					}
+				}
+				params := randBoxParams(rng, consts)
+				cfg := cfgs[w.days%len(cfgs)]
+				var trTree stepTrace
+				var scTree SimScratch
+				tree.RunBuf(forcing, params, cfg, &scTree, trTree.hook(-1))
+				trSeg := runAlone(seg, seg.NewExogPlan(forcing), cfg, [][]float64{params}, nil)[0]
+				// Go leaves a NaN's sign unspecified, and a NaN operand's
+				// sign survives a product or sum depending on the order
+				// the compiler gives the operands, so the tree interpreter
+				// and the register VM differ there. The hook's consumers
+				// tell NaN only from ±Inf.
+				canonNaN(&trTree)
+				canonNaN(&trSeg)
+				if !sameTrace(&trTree, &trSeg) {
+					t.Fatalf("system %d, %d days, poison %v: hook traces diverge\ntree %v\nseg  %v", si, w.days, poison, trTree.ts, trSeg.ts)
+				}
+				last := len(trSeg.ts) - 1
+				if poison && (last < 0 || trSeg.ts[last] > w.nanDay || !math.IsNaN(math.Float64frombits(trSeg.vals[last])) && !math.IsInf(math.Float64frombits(trSeg.vals[last]), 0)) {
+					t.Fatalf("system %d, %d days: NaN forcing on day %d did not abort the run (trace days %v)", si, w.days, w.nanDay, trSeg.ts)
+				}
 			}
 		}
 	}

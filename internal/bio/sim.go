@@ -82,19 +82,19 @@ func (c SimConfig) withDefaults() SimConfig {
 }
 
 // SimScratch holds the per-goroutine buffers reused across integration
-// runs: the state/forcing scratch row and the register file. The zero value
-// is ready to use; buffers grow on first use and are reused afterwards,
-// making repeated runs allocation-free. A SimScratch must not be shared
-// between concurrent runs.
+// runs: the state/forcing rows and the register files. The zero value is
+// ready to use; buffers grow on first use and are reused afterwards, making
+// repeated runs allocation-free. A SimScratch must not be shared between
+// concurrent runs.
 type SimScratch struct {
+	// regs holds a program's scalar register file followed by its
+	// lane-major one (regFiles), and vars the scalar state row followed by
+	// the lane-strided one (varFiles): one allocation each, as a fresh
+	// scratch is the common case wherever scratches are pooled.
+	regs []float64
 	vars []float64
-	regs []float64 // register file for the scalar loop (see seg.go)
-
-	// Lane-batched path (see lanes.go): the lane-major register file and
-	// state vector, plus the per-lane parameter-vector table reused by
-	// KernelLanes so steady-state lane batches allocate nothing.
-	regsLanes  []float64
-	varsLanes  []float64
+	// paramLanes is the per-lane parameter-vector table reused by
+	// KernelLanes (see lanes.go and seg.go).
 	paramLanes [expr.Lanes][]float64
 
 	// LaneDrops counts the members KernelLanes stopped early: swapped out
@@ -104,6 +104,20 @@ type SimScratch struct {
 	// callers snapshot before/after a KernelLanes call to attribute drops.
 	// A plain int — a SimScratch is owned by one goroutine at a time.
 	LaneDrops int
+}
+
+// regFiles returns the scalar (n registers) and lane-major (n·expr.Lanes)
+// register files of an n-register program.
+func (sc *SimScratch) regFiles(n int) (scalar, lanes []float64) {
+	sc.regs = growBuf(sc.regs, n*(1+expr.Lanes))
+	return sc.regs[:n:n], sc.regs[n:]
+}
+
+// varFiles returns the scalar (NumVars) and lane-strided
+// (NumVars·expr.Lanes) state rows.
+func (sc *SimScratch) varFiles() (scalar, lanes []float64) {
+	sc.vars = growBuf(sc.vars, NumVars*(1+expr.Lanes))
+	return sc.vars[:NumVars:NumVars], sc.vars[NumVars:]
 }
 
 func growBuf(b []float64, n int) []float64 {
@@ -143,8 +157,7 @@ func (s *System) Run(forcing [][]float64, params []float64, cfg SimConfig, perSt
 func (s *System) RunBuf(forcing [][]float64, params []float64, cfg SimConfig, sc *SimScratch, perStep func(t int, bphy float64) bool) {
 	cfg = cfg.withDefaults()
 	bphy, bzoo := cfg.Phy0, cfg.Zoo0
-	sc.vars = growBuf(sc.vars, NumVars)
-	scratch := sc.vars
+	scratch, _ := sc.varFiles()
 	env := &expr.Env{Vars: scratch, Params: params}
 	h := 1.0 / float64(cfg.SubSteps)
 	for t, row := range forcing {

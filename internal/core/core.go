@@ -12,7 +12,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"gmr/internal/bio"
 	"gmr/internal/calib"
@@ -114,10 +117,13 @@ type runSetup struct {
 	g        *tag.Grammar
 	gpCfg    gp.Config
 	evalOpts evalx.Options
-	precal   calib.Objective
-	lo, hi   []float64
-	budget   int
-	tracer   *obs.Tracer
+	// precal returns a fresh pre-calibration objective over the compiled
+	// unrevised process: one objective is not safe for concurrent calls,
+	// and islands pre-calibrate concurrently.
+	precal func() calib.Objective
+	lo, hi []float64
+	budget int
+	tracer *obs.Tracer
 }
 
 func prepare(ds *dataset.Dataset, cfg Config) (*runSetup, error) {
@@ -146,11 +152,16 @@ func prepare(ds *dataset.Dataset, cfg Config) (*runSetup, error) {
 	// different basins of the multimodal box, and the runs then explore
 	// revisions from diverse calibrated starting points).
 	if cfg.PreCalibrateBudget >= 0 {
-		obj, err := calib.RiverObjective(ds.TrainForcing(), ds.TrainObsPhy(), evalOpts.Sim)
+		phy, zoo, _, err := bio.ManualSystem()
 		if err != nil {
 			return nil, err
 		}
-		s.precal = obj
+		sys, err := bio.NewSegSystem(phy, zoo)
+		if err != nil {
+			return nil, err
+		}
+		forcing, obs, sim := ds.TrainForcing(), ds.TrainObsPhy(), evalOpts.Sim
+		s.precal = func() calib.Objective { return calib.StructureObjective(sys, forcing, obs, sim) }
 	}
 	s.lo, s.hi = calib.Box(consts)
 	s.budget = cfg.PreCalibrateBudget
@@ -171,7 +182,8 @@ func (s *runSetup) newEvaluator(ds *dataset.Dataset) *evalx.Evaluator {
 
 // calibrate pre-calibrates run (or island) idx's starting parameters and
 // seeds the unrevised baseline individual into its initial population.
-// Alternates calibrators across indices for basin diversity.
+// Alternates calibrators across indices for basin diversity. Safe for
+// concurrent calls with different indices.
 func (s *runSetup) calibrate(idx int, runCfg gp.Config) gp.Config {
 	if s.precal == nil {
 		return runCfg
@@ -182,7 +194,7 @@ func (s *runSetup) calibrate(idx int, runCfg gp.Config) gp.Config {
 	if idx%2 == 1 {
 		c = calib.NewSA()
 	}
-	params, _ := c.Calibrate(s.precal, s.lo, s.hi, s.budget, rng)
+	params, _ := c.Calibrate(s.precal(), s.lo, s.hi, s.budget, rng)
 	runCfg.InitParams = params
 	// The unrevised input process with its calibrated parameters joins
 	// the initial population: revision starts no worse than the
@@ -280,7 +292,8 @@ type IslandOptions struct {
 func RunIslands(ctx context.Context, ds *dataset.Dataset, cfg Config, opts IslandOptions) (*Result, *orchestrator.Result, error) {
 	cfg = cfg.withDefaults()
 	// core.setup covers the grammar, the evaluators and the engines; the
-	// islands' pre-calibrations inside orchestrator.New are core.precal.
+	// islands' pre-calibrations inside orchestrator.New, which run
+	// concurrently, are core.precal.
 	setup := cfg.Tracer.Start("core.setup")
 	s, err := prepare(ds, cfg)
 	if err != nil {
@@ -385,28 +398,50 @@ func finalize(ds *dataset.Dataset, cfg Config, evalOpts evalx.Options, pool []*g
 	simTest := evalOpts.Sim
 	simTest.Phy0 = ds.ObsPhy[ds.TrainEnd]
 	simTest.Zoo0 = ds.ObsZoo[ds.TrainEnd]
-	// Each candidate is compiled once and predicted once per window; the
-	// winner's metrics and forecast come from the same predictions.
+	// Each candidate is compiled once and predicted once per window, on a
+	// GOMAXPROCS pool into its own slot, so the order below is the
+	// candidates'; the winner's metrics and forecast come from the same
+	// predictions.
 	type ranked struct {
 		ind              *gp.Individual
 		model            *evalx.Model
 		rmse, train      float64
 		trPred, testPred []float64
 	}
-	rankedModels := make([]ranked, 0, len(candidates))
-	bestTrain := math.Inf(1)
+	slots := make([]ranked, len(candidates))
 	consts := bio.DefaultConstants()
-	for _, ind := range candidates {
-		m, err := evalx.Compile(ind, consts)
-		if err != nil {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(candidates)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(candidates) {
+					return
+				}
+				ind := candidates[i]
+				m, err := evalx.Compile(ind, consts)
+				if err != nil {
+					continue
+				}
+				trPred := m.Predict(ds.TrainForcing(), ind.Params, evalOpts.Sim)
+				pred := m.Predict(ds.TestForcing(), ind.Params, simTest)
+				slots[i] = ranked{ind, m, metrics.RMSE(pred, ds.TestObsPhy()), metrics.RMSE(trPred, ds.TrainObsPhy()), trPred, pred}
+			}
+		}()
+	}
+	wg.Wait()
+	rankedModels := slots[:0]
+	bestTrain := math.Inf(1)
+	for _, r := range slots {
+		if r.model == nil {
 			continue
 		}
-		trPred := m.Predict(ds.TrainForcing(), ind.Params, evalOpts.Sim)
-		pred := m.Predict(ds.TestForcing(), ind.Params, simTest)
-		train := metrics.RMSE(trPred, ds.TrainObsPhy())
-		rankedModels = append(rankedModels, ranked{ind, m, metrics.RMSE(pred, ds.TestObsPhy()), train, trPred, pred})
-		if train < bestTrain {
-			bestTrain = train
+		rankedModels = append(rankedModels, r)
+		if r.train < bestTrain {
+			bestTrain = r.train
 		}
 	}
 	if len(rankedModels) == 0 {

@@ -32,6 +32,12 @@ import (
 //	STEP  depends on state → the only instructions left inside the
 //	      per-substep kernel.
 //
+// EXOG and DAY read no state, so consecutive days are independent inputs
+// to them: they run instruction-major over Lanes days at a time on the lane
+// interpreter (regvm_lanes.go), one day per lane ("time lanes"), with one
+// parameter vector broadcast to every lane for DAY. The scalar substeps
+// then read each day's EXOG and DAY results out of its lane (stepIn).
+//
 // Literal-only subexpressions are folded at compile time with the same
 // guarded operators the tree interpreter uses, so the interpreter and the
 // register program agree on well-defined inputs; the differential fuzz
@@ -114,6 +120,11 @@ type RegProgram struct {
 	// segment (or serving as roots): the columns of the hoisted T×k
 	// matrix, in ascending register order.
 	exogOut []uint16
+	// stepIn lists the EXOG and DAY registers read by STEP instructions
+	// or serving as roots, in ascending register order: what a day hands
+	// from its time lane to the scalar substeps. It shares exogOut's
+	// backing array.
+	stepIn []uint16
 
 	roots []uint16
 }
@@ -183,20 +194,23 @@ func CompileReg(roots []*Node, isState func(varIdx int) bool) (*RegProgram, erro
 	}
 	c.p.numRegs = c.numRegs
 	c.splitSegments()
-	c.collectExogOut()
+	c.collectLiveOuts()
 	return c.p, nil
 }
 
 // splitSegments partitions the emitted instructions by class into the
-// program's segments, keeping emission order within each segment, over one
-// backing array.
+// program's segments over one backing array. Each segment starts with its
+// variable loads, which read no register, so EvalExogLanes can gather
+// EXOG's straight from the forcing rows; the rest keep emission order.
 func (c *regCompiler) splitSegments() {
 	all := make([]rinstr, 0, len(c.code))
 	for cls := segExog; cls <= segStep; cls++ {
 		start := len(all)
-		for _, in := range c.code {
-			if c.class[in.dst] == cls {
-				all = append(all, in)
+		for _, loads := range [2]bool{true, false} {
+			for _, in := range c.code {
+				if c.class[in.dst] == cls && (in.op == ropLoadVar) == loads {
+					all = append(all, in)
+				}
 			}
 		}
 		*c.segment(cls) = all[start:len(all):len(all)]
@@ -430,40 +444,59 @@ func (c *regCompiler) compile(n *Node) (uint16, segClass, error) {
 	return 0, 0, fmt.Errorf("expr: CompileReg: unknown node kind %d", n.Kind)
 }
 
-// collectExogOut gathers the exogenous registers that are read outside the
-// EXOG segment (by DAY/STEP instructions or as roots): only these need to be
-// materialized into the hoisted matrix and reloaded per day.
-func (c *regCompiler) collectExogOut() {
-	live := make([]bool, c.numRegs)
-	nlive := 0
-	mark := func(r uint16) {
-		if c.class[r] == segExog && !live[r] {
-			live[r] = true
-			nlive++
+// collectLiveOuts gathers the registers a later segment reads from an
+// earlier one. exogOut: the EXOG registers read by DAY or STEP instructions
+// or as roots; only these are materialized into the hoisted matrix and
+// loaded per day. stepIn: the EXOG and DAY registers read by STEP
+// instructions or as roots; only these leave a day's time lane. Both lists
+// are in ascending register order (compile order: deterministic columns)
+// and share one backing array, as the compile runs once per cold
+// evaluation.
+func (c *regCompiler) collectLiveOuts() {
+	const byDay, byStep = 1, 2 // bits of live[r]: which segments read r
+	live := make([]uint8, c.numRegs)
+	mark := func(r uint16, by uint8) {
+		if cls := c.class[r]; cls == segExog || cls == segDay && by == byStep {
+			live[r] |= by
 		}
 	}
-	for _, seg := range [][]rinstr{c.p.day, c.p.step} {
+	markOperands := func(seg []rinstr, by uint8) {
 		for _, in := range seg {
 			if in.op == ropLoadVar || in.op == ropLoadParam {
 				continue
 			}
-			mark(in.a)
+			mark(in.a, by)
 			if in.op != ropNeg && in.op != ropLog && in.op != ropExp {
-				mark(in.b)
+				mark(in.b, by)
 			}
 		}
 	}
+	markOperands(c.p.day, byDay)
+	markOperands(c.p.step, byStep)
 	for _, r := range c.p.roots {
-		mark(r)
+		mark(r, byStep)
 	}
-	// Ascending register order = compile order: deterministic columns.
-	out := make([]uint16, 0, nlive)
-	for r, ok := range live {
-		if ok {
+	nexog, nstep := 0, 0
+	for r, by := range live {
+		if by != 0 && c.class[r] == segExog {
+			nexog++
+		}
+		if by&byStep != 0 {
+			nstep++
+		}
+	}
+	out := make([]uint16, 0, nexog+nstep)
+	for r, by := range live {
+		if by != 0 && c.class[r] == segExog {
 			out = append(out, uint16(r))
 		}
 	}
-	c.p.exogOut = out
+	for r, by := range live {
+		if by&byStep != 0 {
+			out = append(out, uint16(r))
+		}
+	}
+	c.p.exogOut, c.p.stepIn = out[:nexog:nexog], out[nexog:]
 }
 
 // exec runs one instruction stream against the register file. vars and
@@ -525,7 +558,8 @@ func (p *RegProgram) InitConsts(regs []float64) {
 // EvalExog evaluates the exogenous segment for every forcing row and writes
 // the live-out registers into out, row-major with stride ExogWidth(). regs
 // is caller scratch (length ≥ NumRegs); consts are initialized internally.
-// out must have length ≥ len(rows)·ExogWidth().
+// out must have length ≥ len(rows)·ExogWidth(). It is the one-day-at-a-time
+// reference that EvalExogLanes, which fills the plans, is tested against.
 func (p *RegProgram) EvalExog(rows [][]float64, regs, out []float64) {
 	p.InitConsts(regs)
 	k := len(p.exogOut)
@@ -543,20 +577,6 @@ func (p *RegProgram) EvalExog(rows [][]float64, regs, out []float64) {
 func (p *RegProgram) EvalParam(params, regs []float64) {
 	p.InitConsts(regs)
 	exec(p.param, nil, params, regs)
-}
-
-// LoadExogRow restores the hoisted exogenous registers from one row of the
-// matrix produced by EvalExog (length ExogWidth()).
-func (p *RegProgram) LoadExogRow(row, regs []float64) {
-	for j, r := range p.exogOut {
-		regs[r] = row[j]
-	}
-}
-
-// EvalDay runs the per-day segment (forcing × parameter instructions,
-// state-free). LoadExogRow and EvalParam must have run first.
-func (p *RegProgram) EvalDay(regs []float64) {
-	exec(p.day, nil, nil, regs)
 }
 
 // EvalStep runs the per-substep segment against the current state values in

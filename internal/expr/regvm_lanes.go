@@ -22,6 +22,13 @@ import "math"
 // sequence is bitwise identical to a scalar execution of the same program
 // with that lane's parameters. The differential tests and the
 // FuzzLaneKernelVsScalar target enforce this.
+//
+// A lane is either a parameter vector (a cohort's members, one day at a
+// time) or a day (time lanes: the state-free EXOG and DAY segments over
+// Lanes consecutive days, with one parameter vector in every lane). The
+// exogenous plan fills with EvalExogLanes, and the scalar loop runs DAY on
+// time lanes (LoadExogRowsLanes, EvalDayLanes) before LoadStepInputs hands
+// each day to its scalar substeps.
 
 // Lanes is the lane width L of the structure-of-arrays execution mode:
 // how many parameter vectors one instruction dispatch scores. Eight lanes
@@ -143,9 +150,67 @@ func (p *RegProgram) LoadExogRowLanes(row, regs []float64) {
 	}
 }
 
+// EvalExogLanes is EvalExog on time lanes: the exogenous segment runs
+// instruction-major over Lanes consecutive forcing rows at a time, one day
+// per lane, and out receives the same row-major T×k matrix, bitwise. Its
+// leading forcing loads gather each group's rows straight into their
+// registers. regs is lane register scratch (length ≥ LaneRegs()); consts
+// are initialized internally. The tail lanes of a last short group compute
+// on stale values and are never read.
+func (p *RegProgram) EvalExogLanes(rows [][]float64, regs, out []float64) {
+	p.InitConstsLanes(regs)
+	loads := 0
+	for loads < len(p.exog) && p.exog[loads].op == ropLoadVar {
+		loads++
+	}
+	k := len(p.exogOut)
+	for t0 := 0; t0 < len(rows); t0 += Lanes {
+		group := rows[t0:min(t0+Lanes, len(rows))]
+		for _, in := range p.exog[:loads] {
+			dst := laneBlock(regs, int(in.dst))
+			for l, row := range group {
+				dst[l] = row[in.a]
+			}
+		}
+		execLanes(p.exog[loads:], nil, nil, regs)
+		for j, r := range p.exogOut {
+			src := laneBlock(regs, int(r))
+			for l := range group {
+				out[(t0+l)*k+j] = src[l]
+			}
+		}
+	}
+}
+
+// LoadExogRowsLanes loads up to Lanes consecutive rows of the hoisted
+// exogenous matrix (len(rows) a multiple of ExogWidth()) into the exogenous
+// registers, row l into lane l: the time-lane layout in which one DAY
+// dispatch serves several days of one parameter vector. Lanes past the last
+// row keep stale values.
+func (p *RegProgram) LoadExogRowsLanes(rows, regs []float64) {
+	k := len(p.exogOut)
+	for j, r := range p.exogOut {
+		dst := laneBlock(regs, int(r))
+		for l := 0; l*k < len(rows); l++ {
+			dst[l] = rows[l*k+j]
+		}
+	}
+}
+
+// LoadStepInputs copies one lane's EXOG and DAY registers that STEP
+// instructions or roots read into the scalar register file regs: after
+// EvalDayLanes on time lanes, it hands that lane's day to the scalar
+// EvalStep. regs must already hold the constants and the PARAM prologue
+// (EvalParam).
+func (p *RegProgram) LoadStepInputs(lane int, laneRegs, regs []float64) {
+	for _, r := range p.stepIn {
+		regs[r] = laneRegs[int(r)*Lanes+lane]
+	}
+}
+
 // EvalDayLanes runs the per-day segment (forcing × parameter instructions,
-// state-free) across all lanes. LoadExogRowLanes and EvalParamLanes must
-// have run first.
+// state-free) across all lanes. The exogenous rows (LoadExogRowLanes or
+// LoadExogRowsLanes) and EvalParamLanes must have run first.
 func (p *RegProgram) EvalDayLanes(regs []float64) {
 	execLanes(p.day, nil, nil, regs)
 }

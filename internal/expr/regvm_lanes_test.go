@@ -30,7 +30,7 @@ func laneVars(vars []float64, stateVals [Lanes][2]float64) []float64 {
 // TestLaneExecMatchesScalarSegments: random trees × random parameter
 // vectors per lane × random state trajectories; the full segmented
 // pipeline (consts → exog plan row → param prologue → day → step) must
-// agree bitwise lane-by-lane with the scalar entry points.
+// agree bitwise lane-by-lane with the scalar EvalOnce.
 func TestLaneExecMatchesScalarSegments(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for tree := 0; tree < 300; tree++ {
@@ -68,13 +68,9 @@ func TestLaneExecMatchesScalarSegments(t *testing.T) {
 		regs := make([]float64, rp.NumRegs())
 		vars := make([]float64, 4)
 		for l := 0; l < Lanes; l++ {
-			rp.EvalParam(params[l], regs)
-			rp.LoadExogRow(plan, regs)
-			rp.EvalDay(regs)
 			copy(vars, row)
 			vars[2], vars[3] = state[l][0], state[l][1]
-			rp.EvalStep(vars, regs)
-			want := rp.Root(0, regs)
+			want := rp.EvalOnce(vars, params[l], regs)
 			got := rp.RootLane(0, l, laneRegs)
 			if !sameBits(want, got) {
 				t.Fatalf("tree %s lane %d: lane %v (%#x) != scalar %v (%#x)",
@@ -122,12 +118,8 @@ func TestCopyLaneMovesWholeColumn(t *testing.T) {
 	rp.EvalStepLanes(laneVars(row, state), laneRegs)
 
 	regs := make([]float64, rp.NumRegs())
-	rp.EvalParam(params[7], regs)
-	rp.LoadExogRow(plan, regs)
-	rp.EvalDay(regs)
 	vars := []float64{1.25, -0.5, 1.5, 0.5}
-	rp.EvalStep(vars, regs)
-	if want, got := rp.Root(0, regs), rp.RootLane(0, 2, laneRegs); !sameBits(want, got) {
+	if want, got := rp.EvalOnce(vars, params[7], regs), rp.RootLane(0, 2, laneRegs); !sameBits(want, got) {
 		t.Fatalf("compacted lane 2 %v != lane-7 scalar %v", got, want)
 	}
 }

@@ -149,17 +149,23 @@ func TestRegVMCSECollapsesSharedSubtrees(t *testing.T) {
 }
 
 // TestRegVMSegmentedExecutionMatchesEvalOnce drives the segmented entry
-// points the way the bio kernel does (EvalExog into a matrix, EvalParam,
-// LoadExogRow+EvalDay per row, EvalStep per substep) and checks bitwise
-// agreement with EvalOnce, and agreement with the tree, on every row.
+// points the way the bio kernel does (EvalExogLanes into a matrix, checked
+// against EvalExog; EvalParam, with the vector broadcast by EvalParamLanes;
+// per group of Lanes days LoadExogRowsLanes+EvalDayLanes; per day
+// LoadStepInputs, then EvalStep per substep) and checks bitwise agreement
+// with EvalOnce, and agreement with the tree, on every row. 50 days end in
+// a short group.
 func TestRegVMSegmentedExecutionMatchesEvalOnce(t *testing.T) {
-	tree := MustParse("BPhy*C1*(V1/(V1+C2)) - BZoo*min(V2, C2, BPhy) + log(V1*V2)")
+	tree := MustParse("BPhy*C1*(V1/(V1+C2)) - BZoo*min(V2, C2, BPhy) + log(V1*V2) + exp(C2*V2)")
 	if err := Bind(tree, testVarIdx, testParamIdx); err != nil {
 		t.Fatal(err)
 	}
 	rp, err := CompileReg([]*Node{tree}, testIsState)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, _, day, _ := rp.SegmentSizes(); day == 0 {
+		t.Fatal("test program has no DAY instructions")
 	}
 	rng := rand.New(rand.NewSource(7))
 	const days = 50
@@ -168,31 +174,48 @@ func TestRegVMSegmentedExecutionMatchesEvalOnce(t *testing.T) {
 		rows[i] = []float64{rng.NormFloat64() * 3, rng.NormFloat64() * 3, 0, 0}
 	}
 	params := []float64{0.7, -1.3}
-	matrix := make([]float64, days*rp.ExogWidth())
-	scratchRegs := make([]float64, rp.NumRegs())
-	rp.EvalExog(rows, scratchRegs, matrix)
+	k := rp.ExogWidth()
+	matrix := make([]float64, days*k)
+	rp.EvalExogLanes(rows, make([]float64, rp.LaneRegs()), matrix)
+	ref := make([]float64, days*k)
+	rp.EvalExog(rows, make([]float64, rp.NumRegs()), ref)
+	for i := range ref {
+		if !sameBits(matrix[i], ref[i]) {
+			t.Fatalf("EvalExogLanes[%d] = %v, EvalExog %v", i, matrix[i], ref[i])
+		}
+	}
 
 	regs := make([]float64, rp.NumRegs())
 	rp.EvalParam(params, regs)
+	laneRegs := make([]float64, rp.LaneRegs())
+	var broadcast [Lanes][]float64
+	for l := range broadcast {
+		broadcast[l] = params
+	}
+	rp.EvalParamLanes(&broadcast, laneRegs)
 	onceRegs := make([]float64, rp.NumRegs())
-	k := rp.ExogWidth()
 	vars := make([]float64, 4)
-	for ti, row := range rows {
-		rp.LoadExogRow(matrix[ti*k:ti*k+k], regs)
-		rp.EvalDay(regs)
-		for step := 0; step < 3; step++ {
-			copy(vars, row)
-			vars[2] = 1.5 + float64(step)*0.25 // BPhy
-			vars[3] = 0.5 + float64(step)*0.1  // BZoo
-			rp.EvalStep(vars, regs)
-			seg := rp.Root(0, regs)
-			once := rp.EvalOnce(vars, params, onceRegs)
-			tv, err := tree.Eval(&Env{Vars: vars, Params: params})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameBits(seg, once) || !sameBits(seg, tv) {
-				t.Fatalf("day %d substep %d: segmented %v, EvalOnce %v, tree %v", ti, step, seg, once, tv)
+	for t0 := 0; t0 < days; t0 += Lanes {
+		n := min(Lanes, days-t0)
+		rp.LoadExogRowsLanes(matrix[t0*k:(t0+n)*k], laneRegs)
+		rp.EvalDayLanes(laneRegs)
+		for l := 0; l < n; l++ {
+			ti := t0 + l
+			rp.LoadStepInputs(l, laneRegs, regs)
+			for step := 0; step < 3; step++ {
+				copy(vars, rows[ti])
+				vars[2] = 1.5 + float64(step)*0.25 // BPhy
+				vars[3] = 0.5 + float64(step)*0.1  // BZoo
+				rp.EvalStep(vars, regs)
+				seg := rp.Root(0, regs)
+				once := rp.EvalOnce(vars, params, onceRegs)
+				tv, err := tree.Eval(&Env{Vars: vars, Params: params})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameBits(seg, once) || !sameBits(seg, tv) {
+					t.Fatalf("day %d substep %d: segmented %v, EvalOnce %v, tree %v", ti, step, seg, once, tv)
+				}
 			}
 		}
 	}

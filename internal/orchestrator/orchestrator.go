@@ -68,7 +68,10 @@ type Config struct {
 	NewEvaluator func(island int) gp.Evaluator
 	// ConfigureIsland, when non-nil, post-processes island i's engine
 	// config (after the per-island seed is assigned) — e.g. per-island
-	// pre-calibrated InitParams or seed individuals.
+	// pre-calibrated InitParams or seed individuals. New calls it for
+	// every island concurrently, one goroutine per island, so it must be
+	// safe for concurrent calls with different islands; its result must
+	// depend only on (island, cfg) for a run to stay deterministic.
 	ConfigureIsland func(island int, cfg gp.Config) gp.Config
 	// CheckpointPath, when non-empty, enables checkpointing: a snapshot
 	// is written atomically every CheckpointEvery generations, on
@@ -146,6 +149,8 @@ type Orchestrator struct {
 // New validates the configuration and builds the islands. Island i's engine
 // seed is the i-th draw of a splittable stream over GP.Seed, so island
 // streams are independent yet reproducible from the one master seed.
+// ConfigureIsland runs for all islands concurrently; evaluators and engines
+// are then built one island after another.
 func New(cfg Config) (*Orchestrator, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Islands < 1 {
@@ -165,13 +170,19 @@ func New(cfg Config) (*Orchestrator, error) {
 		tele: newTelemetry(cfg.Telemetry),
 	}
 	master := stats.NewRNG(cfg.GP.Seed)
-	for i := 0; i < cfg.Islands; i++ {
-		icfg := cfg.GP
-		icfg.Seed = master.Int63()
-		icfg.Tracer = cfg.Tracer
-		if cfg.ConfigureIsland != nil {
-			icfg = cfg.ConfigureIsland(i, icfg)
-		}
+	icfgs := make([]gp.Config, cfg.Islands)
+	for i := range icfgs {
+		icfgs[i] = cfg.GP
+		icfgs[i].Seed = master.Int63()
+		icfgs[i].Tracer = cfg.Tracer
+	}
+	if cfg.ConfigureIsland != nil {
+		_ = o.parallelIslands(func(i int) error { // fn returns no error
+			icfgs[i] = cfg.ConfigureIsland(i, icfgs[i])
+			return nil
+		})
+	}
+	for i, icfg := range icfgs {
 		ev := cfg.NewEvaluator(i)
 		eng, err := gp.NewEngine(cfg.Grammar, ev, icfg)
 		if err != nil {
@@ -194,10 +205,10 @@ func New(cfg Config) (*Orchestrator, error) {
 // evalx.Options.ProfileLabels) nest under it. The label costs one pprof.Do per
 // island per barrier, far off any hot path.
 func (o *Orchestrator) parallelIslands(fn func(i int) error) error {
-	errs := make([]error, len(o.engines))
+	errs := make([]error, o.cfg.Islands)
 	var wg sync.WaitGroup
-	wg.Add(len(o.engines))
-	for i := range o.engines {
+	wg.Add(len(errs))
+	for i := range errs {
 		go func(i int) {
 			defer wg.Done()
 			pprof.Do(context.Background(), pprof.Labels("island", strconv.Itoa(i)), func(context.Context) {

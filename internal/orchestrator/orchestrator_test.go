@@ -9,11 +9,14 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"gmr/internal/expr"
 	"gmr/internal/gp"
+	"gmr/internal/stats"
 	"gmr/internal/tag"
 )
 
@@ -260,6 +263,53 @@ func TestResumeBitwiseDeterministic(t *testing.T) {
 		if contLines[i] != stitched[i] {
 			t.Errorf("telemetry line %d differs:\ncontinuous %s\nstitched   %s",
 				i, contLines[i], stitched[i])
+		}
+	}
+}
+
+// TestConfigureIslandConcurrent: New runs ConfigureIsland for every island
+// at once (each call here returns only after all islands have entered),
+// hands each the seed drawn for it in island order, and builds each
+// island's engine from that island's returned config.
+func TestConfigureIslandConcurrent(t *testing.T) {
+	cfg := testConfig(5, 2)
+	var entered sync.WaitGroup
+	entered.Add(cfg.Islands)
+	allIn := make(chan struct{})
+	go func() { entered.Wait(); close(allIn) }()
+	seeds := make([]int64, cfg.Islands)
+	cfg.ConfigureIsland = func(i int, icfg gp.Config) gp.Config {
+		entered.Done()
+		select {
+		case <-allIn:
+		case <-time.After(5 * time.Second):
+			t.Errorf("island %d: ConfigureIsland calls did not overlap", i)
+		}
+		seeds[i] = icfg.Seed
+		icfg.InitParams = []float64{float64(i) / 10}
+		return icfg
+	}
+	o, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, e := range o.engines {
+			e.Close()
+		}
+	}()
+	master := stats.NewRNG(cfg.GP.Seed)
+	for i, seed := range seeds {
+		if want := master.Int63(); seed != want {
+			t.Errorf("island %d configured with seed %d, want %d", i, seed, want)
+		}
+		if err := o.engines[i].Start(); err != nil {
+			t.Fatal(err)
+		}
+		for _, ind := range o.engines[i].Population() {
+			if ind.Params[0] != float64(i)/10 {
+				t.Fatalf("island %d engine holds params %v, want island %d's InitParams", i, ind.Params, i)
+			}
 		}
 	}
 }
