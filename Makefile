@@ -44,8 +44,8 @@ fuzz:
 
 # chaos runs the fault-injection suite (injected panics, NaN poison,
 # checkpoint truncation, resume-under-faults determinism), the
-# clustered-scheduler differential tests (cluster/scalar/worker-count
-# parity, with and without faults) and the divergent-member quarantine of
+# clustered-scheduler differential tests (parity with the per-individual
+# plain-evaluator path and across worker counts, with and without faults) and the divergent-member quarantine of
 # every lane-kernel caller under the race detector, concurrent on-demand
 # fills of one shared exogenous plan, and island runs whose
 # pre-calibrations and final candidate scoring run concurrently.
@@ -60,7 +60,9 @@ chaos:
 # BENCH_PKGS are the packages whose Go benchmarks measure one layer each:
 # the expression VM, the simulation kernels, the evaluator tiers, the
 # calibration objective and the observability hot paths. The root package
-# adds the population-pass benchmarks (EvaluatePop). Their allocs/op
+# adds the population-pass benchmarks (EvaluatePop): the clustered
+# scheduler, and its scalar arm over an evaluator narrowed to the plain
+# gp.Evaluator interface (key-less singletons). Their allocs/op
 # ceilings are ordinary tests in `make test`; ns/op is for reading, not
 # gating: speed is judged end to end by bench/.
 BENCH_PKGS = ./internal/expr/ ./internal/bio/ ./internal/evalx/ ./internal/calib/ ./internal/obs/

@@ -68,7 +68,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "seed")
 		subSteps  = flag.Int("substeps", 2, "Euler substeps per day")
 		noES      = flag.Bool("no-es", false, "disable evaluation short-circuiting")
-		noCluster = flag.Bool("nocluster", false, "disable the structure-clustered population scheduler (ablation; bitwise-identical results, scalar speed)")
 		analyze   = flag.Bool("analyze", true, "run the variable-selectivity analysis")
 		savePath  = flag.String("save", "", "write the best revised model (derivation + parameters) to this JSON file")
 		exportTo  = flag.String("export-model", "", "write the best model as a deployable bundle (gmrd serve registry format) to this JSON file")
@@ -92,6 +91,13 @@ func main() {
 		// Training would fall back to bio's default substeps while an
 		// exported bundle's config digest records the raw value.
 		fmt.Fprintln(flag.CommandLine.Output(), "-substeps must be at least 1")
+		flag.Usage()
+		os.Exit(2)
+	}
+	if *slowSpan != 0 && *metricsAddr == "" {
+		// The slow-span log hangs off the -metrics-addr tracer; without
+		// it the threshold would be silently ignored.
+		fmt.Fprintln(flag.CommandLine.Output(), "-slow-span requires -metrics-addr")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -141,7 +147,7 @@ func main() {
 	}
 	eval.Faults = faults
 	cfg := core.Config{
-		GP:   gp.Config{PopSize: *pop, MaxGen: *gens, LocalSearchSteps: *ls, Seed: *seed, NoCluster: *noCluster},
+		GP:   gp.Config{PopSize: *pop, MaxGen: *gens, LocalSearchSteps: *ls, Seed: *seed},
 		Eval: eval,
 		Runs: *runs,
 		TopK: 50,

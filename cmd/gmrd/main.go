@@ -75,7 +75,7 @@ func runServe(ctx context.Context, args []string, out io.Writer, announce func(a
 		drainFor   = fs.Duration("drain-timeout", 10*time.Second, "graceful shutdown deadline for in-flight requests")
 
 		spanRing = fs.Int("span-ring", 512, "span tracer ring size (0 disables tracing)")
-		slowSpan = fs.Duration("slow-span", 0, "log serving-path spans slower than this threshold (0 disables)")
+		slowSpan = fs.Duration("slow-span", 0, "log serving-path spans slower than this threshold (0 disables; requires -span-ring above 0)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -85,6 +85,9 @@ func runServe(ctx context.Context, args []string, out io.Writer, announce func(a
 	}
 	if *subSteps < 1 {
 		return errors.New("-substeps must be at least 1")
+	}
+	if *slowSpan != 0 && *spanRing <= 0 {
+		return errors.New("-slow-span requires -span-ring above 0")
 	}
 	if *maxBatch < 0 || *maxBatch > expr.Lanes {
 		return fmt.Errorf("-max-batch must be between 0 and %d", expr.Lanes)

@@ -240,6 +240,7 @@ func TestServeRequiresModelsDir(t *testing.T) {
 		{[]string{"-models", t.TempDir(), "-substeps", "0"}, "-substeps must be at least 1"},
 		{[]string{"-models", t.TempDir(), "-max-batch", "-1"}, "-max-batch must be between 0 and 8"},
 		{[]string{"-models", t.TempDir(), "-max-batch", "100"}, "-max-batch must be between 0 and 8"},
+		{[]string{"-models", t.TempDir(), "-span-ring", "0", "-slow-span", "5ms"}, "-slow-span requires -span-ring above 0"},
 	} {
 		err := runServe(context.Background(), tc.args, io.Discard, nil)
 		if err == nil {

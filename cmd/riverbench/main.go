@@ -299,12 +299,6 @@ func main() {
 		fatal(err)
 	}
 	defer profileStop()
-	if *cpuProf != "" || *memProf != "" || *pprofSrv != "" {
-		// Tag evaluation phases (eval_phase) and islands on worker
-		// goroutines so profiles slice by pipeline stage. Only when
-		// profiling: the labels allocate on the hot path.
-		experiments.ProfileLabels = true
-	}
 	fmt.Printf("generating synthetic Nakdong dataset (seed %d)...\n", *dsSeed)
 	var err error
 	if ds, err = experiments.DefaultDataset(*dsSeed); err != nil {

@@ -9,7 +9,7 @@ package gmr
 //	dataset.golden  float bits of experiments.DefaultDataset(7)
 //	calib.golden    one small-budget calibration per calibrator
 //	islands.golden  a tiny 2-island core.RunIslands run per generation budget,
-//	                reproduced under -nocluster and with 8 workers
+//	                reproduced with 8 workers
 //	islands_faults.golden
 //	                the same runs under injected panics and NaN poison
 //	analysis.golden finalize's ranking and best-model metrics of one island
@@ -265,14 +265,12 @@ func runGoldenVariants[C any](t *testing.T, variants []goldenVariant[C], check f
 // champion's test RMSE bits
 // (pre-calibration and finalize's forecasts included). islands.golden holds
 // the clean runs; islands_faults.golden the same runs with one injector
-// (panics and NaN poison) given to the evaluators and the orchestrator. The
-// -nocluster ablation and eight evaluation workers must reproduce the
-// default (one worker, clustered) bytes.
+// (panics and NaN poison) given to the evaluators and the orchestrator.
+// Eight evaluation workers must reproduce the default (one worker) bytes.
 func TestGoldenIslands(t *testing.T) {
 	ds := goldenDataset(t)
 	variants := []goldenVariant[gp.Config]{
 		{"default", func(*gp.Config) {}},
-		{"nocluster", func(c *gp.Config) { c.NoCluster = true }},
 		{"workers8", func(c *gp.Config) { c.Workers = 8 }},
 	}
 	runGoldenVariants(t, variants, func(t *testing.T, mod func(*gp.Config)) {
@@ -491,7 +489,7 @@ var goldenModes = []struct {
 	{"tree", evalx.Options{}},
 	{"compile", evalx.Options{UseCompile: true}},
 	{"all", evalx.AllSpeedups(bio.SimConfig{})},
-	{"cache", evalx.Options{UseCache: true, Simplify: true}},
+	{"cache", evalx.Options{UseCache: true}},
 }
 
 // fitnessBits renders each member's fitness bits and full-evaluation flag.

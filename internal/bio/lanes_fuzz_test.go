@@ -94,9 +94,7 @@ func FuzzLaneKernelVsScalar(f *testing.F) {
 		cfg := SimConfig{Phy0: 0.1 + rng.Float64()*3, Zoo0: rng.Float64() * 2}
 		cfg.SubSteps = 1 + int(knobs>>36)&0x3
 		switch (knobs >> 4) & 0x7 {
-		case 1:
-			cfg.ClampDisabled = true
-		case 2:
+		case 1, 2:
 			cfg.ClampMin, cfg.ClampMax = -1, -1 // sentinel: unbounded
 		case 3:
 			cfg.ClampMax = 50

@@ -35,7 +35,7 @@ func TestKernelLanesMatchesScalarKernel(t *testing.T) {
 	cfgs := []SimConfig{
 		{SubSteps: 1, Phy0: 2, Zoo0: 1},
 		{SubSteps: 4, Phy0: 0.5, Zoo0: 1.5},
-		{SubSteps: 2, Phy0: 3, Zoo0: 0.1, ClampDisabled: true},
+		{SubSteps: 2, Phy0: 3, Zoo0: 0.1, ClampMin: -1, ClampMax: -1},
 		{SubSteps: 3, Phy0: 1, Zoo0: 1, ClampMin: -1, ClampMax: 50},
 	}
 	for si, pair := range segTestSystems(t, paramIdx) {
@@ -149,7 +149,10 @@ func TestKernelLanesCompactionStress(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		forcing := randForcing(rng, 20)
 		plan := seg.NewExogPlan(forcing)
-		cfg := SimConfig{SubSteps: 2, Phy0: 0.1 + rng.Float64()*3, Zoo0: rng.Float64(), ClampDisabled: trial%2 == 0}
+		cfg := SimConfig{SubSteps: 2, Phy0: 0.1 + rng.Float64()*3, Zoo0: rng.Float64()}
+		if trial%2 == 0 {
+			cfg.ClampMin, cfg.ClampMax = -1, -1
+		}
 		n := expr.Lanes
 		params := make([][]float64, n)
 		stopAt := make([]int, n)

@@ -154,7 +154,7 @@ func TestSegSystemMatchesTreeSystem(t *testing.T) {
 	cfgs := []SimConfig{
 		{SubSteps: 1, Phy0: 2, Zoo0: 1},
 		{SubSteps: 4, Phy0: 0.5, Zoo0: 1.5},
-		{SubSteps: 2, Phy0: 3, Zoo0: 0.1, ClampDisabled: true},
+		{SubSteps: 2, Phy0: 3, Zoo0: 0.1, ClampMin: -1, ClampMax: -1},
 		{SubSteps: 3, Phy0: 1, Zoo0: 1, ClampMin: -1, ClampMax: 50},
 	}
 	for si, pair := range segTestSystems(t, paramIdx) {
@@ -304,7 +304,7 @@ func TestSegSystemRandomTreesProperty(t *testing.T) {
 		}
 		cfg := SimConfig{SubSteps: 1 + rng.Intn(4), Phy0: rng.Float64() * 4, Zoo0: rng.Float64() * 2}
 		if trial%4 == 0 {
-			cfg.ClampDisabled = true
+			cfg.ClampMin, cfg.ClampMax = -1, -1
 		}
 		var trA stepTrace
 		a := tree.Run(forcing, params, cfg, trA.hook(-1))

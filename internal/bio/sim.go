@@ -46,25 +46,17 @@ type SimConfig struct {
 	// Sentinel semantics: the zero value means "use the default"
 	// (ClampMin 1e-3, ClampMax 1e5) — an *explicit* bound of exactly 0
 	// cannot be expressed this way. To disable a bound, set it negative
-	// (negative-means-disabled: the bound becomes ∓Inf), or set
-	// ClampDisabled to turn off clamping entirely. An explicit zero
-	// floor is therefore spelled ClampMin: -1 (no floor) or any tiny
-	// positive value.
+	// (negative-means-disabled: the bound becomes ∓Inf). An explicit
+	// zero floor is therefore spelled ClampMin: -1 (no floor) or any tiny
+	// positive value. ClampMin: -1, ClampMax: -1 turns clamping off
+	// entirely, for workloads (e.g. generic ODE revision outside the river
+	// domain) where state may legitimately be zero or negative.
 	ClampMin, ClampMax float64
-	// ClampDisabled turns off biomass clamping entirely, overriding
-	// ClampMin/ClampMax. This is the escape hatch for workloads (e.g.
-	// generic ODE revision outside the river domain) where state may
-	// legitimately be zero or negative.
-	ClampDisabled bool
 }
 
 func (c SimConfig) withDefaults() SimConfig {
 	if c.SubSteps <= 0 {
 		c.SubSteps = 4
-	}
-	if c.ClampDisabled {
-		c.ClampMin, c.ClampMax = math.Inf(-1), math.Inf(1)
-		return c
 	}
 	switch {
 	case c.ClampMin == 0:

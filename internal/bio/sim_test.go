@@ -2,6 +2,7 @@ package bio
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -33,8 +34,8 @@ func flatForcing(days int) [][]float64 {
 
 // TestClampSentinels pins down the SimConfig clamp semantics: the zero
 // value is a sentinel for the defaults (so an explicit zero floor is not
-// expressible as 0), negative bounds disable that bound, and ClampDisabled
-// switches clamping off entirely.
+// expressible as 0), and negative bounds disable that bound; both negative
+// switch clamping off entirely.
 func TestClampSentinels(t *testing.T) {
 	sys := decaySystem(t)
 	forcing := flatForcing(40)
@@ -53,21 +54,22 @@ func TestClampSentinels(t *testing.T) {
 		t.Errorf("negative ClampMin: final state %v, want positive and below 1e-3", last)
 	}
 
-	// ClampDisabled turns off both bounds.
-	preds = sys.Predict(forcing, nil, SimConfig{Phy0: 1, Zoo0: 1, ClampDisabled: true})
+	// Both bounds negative turn clamping off.
+	unclamped := SimConfig{Phy0: 1, Zoo0: 1, ClampMin: -1, ClampMax: -1}
+	preds = sys.Predict(forcing, nil, unclamped)
 	last = preds[len(preds)-1]
 	if !(last > 0 && last < 1e-3) {
-		t.Errorf("ClampDisabled: final state %v, want positive and below 1e-3", last)
+		t.Errorf("unclamped: final state %v, want positive and below 1e-3", last)
 	}
 
-	// With clamping disabled a process may legitimately go negative
-	// (dB/dt = -1 from a small start), which the default floor forbids.
+	// Unclamped, a process may legitimately go negative (dB/dt = -1 from
+	// a small start), which the default floor forbids.
 	neg := expr.NewLit(-1.0)
 	zero := expr.NewLit(0.0)
 	sysNeg := NewTreeSystem(neg, zero)
-	preds = sysNeg.Predict(flatForcing(5), nil, SimConfig{Phy0: 0.5, Zoo0: 1, ClampDisabled: true})
+	preds = sysNeg.Predict(flatForcing(5), nil, SimConfig{Phy0: 0.5, Zoo0: 1, ClampMin: -1, ClampMax: -1})
 	if preds[len(preds)-1] >= 0 {
-		t.Errorf("ClampDisabled: state %v, want negative", preds[len(preds)-1])
+		t.Errorf("unclamped: state %v, want negative", preds[len(preds)-1])
 	}
 	preds = sysNeg.Predict(flatForcing(5), nil, SimConfig{Phy0: 0.5, Zoo0: 1})
 	if preds[len(preds)-1] != 1e-3 {
@@ -83,6 +85,28 @@ func TestClampSentinels(t *testing.T) {
 	preds = sysGrow.Predict(flatForcing(80), nil, SimConfig{Phy0: 10, Zoo0: 1, ClampMax: -1})
 	if last = preds[len(preds)-1]; last <= 1e5 {
 		t.Errorf("negative ClampMax: final state %v, want above the 1e5 default cap", last)
+	}
+
+	// Unclamped, dB/dt = B² overflows: the run aborts on the non-finite
+	// state and records it as a NaN prediction (evalx quarantines it as
+	// ReasonInf). The default cap keeps the same process finite.
+	sq := expr.Mul(expr.NewVar("BPhy"), expr.NewVar("BPhy"))
+	if err := expr.Bind(sq, VarIndex(), map[string]int{}); err != nil {
+		t.Fatal(err)
+	}
+	sysSq := NewTreeSystem(sq, zero)
+	var aborted float64
+	preds = sysSq.Run(flatForcing(80), nil, SimConfig{Phy0: 10, Zoo0: 1, ClampMin: -1, ClampMax: -1}, func(_ int, bphy float64) bool {
+		aborted = bphy
+		return true
+	})
+	if len(preds) == 80 || !math.IsNaN(preds[len(preds)-1]) || !math.IsInf(aborted, 1) {
+		t.Errorf("unclamped B²: %d days, last prediction %v, last hook value %v; want an early abort on +Inf",
+			len(preds), preds[len(preds)-1], aborted)
+	}
+	preds = sysSq.Predict(flatForcing(80), nil, SimConfig{Phy0: 10, Zoo0: 1})
+	if len(preds) != 80 || preds[len(preds)-1] != 1e5 {
+		t.Errorf("default cap on B²: %d days, final state %v; want 80 days capped at 1e5", len(preds), preds[len(preds)-1])
 	}
 }
 

@@ -65,7 +65,7 @@ func benchIndividuals(tb testing.TB, n int, seed int64) []*gp.Individual {
 func benchEvaluator(tb testing.TB, useCache bool) *Evaluator {
 	tb.Helper()
 	forcing, obs := benchWindow(tb)
-	opts := Options{UseCache: useCache, UseCompile: true, Simplify: true, Sim: simCfg(obs)}
+	opts := Options{UseCache: useCache, UseCompile: true, Sim: simCfg(obs)}
 	ev := New(forcing, obs, bio.DefaultConstants(), opts)
 	ev.BeginBatch()
 	tb.Cleanup(ev.EndBatch)
@@ -139,9 +139,9 @@ func tier2Op(tb testing.TB) (*Evaluator, func(int)) {
 // popPassOp runs one generation-shaped population pass per op through a
 // two-worker gp.Engine: 8 structures × 8 clones, every member under a fresh
 // parameter vector, so each member misses tier 2 and simulates in full
-// (short-circuiting is off). noCluster selects the per-individual scalar
-// path through the same scheduler.
-func popPassOp(tb testing.TB, noCluster bool) (members int, op func(int)) {
+// (short-circuiting is off). legacy narrows the evaluator to the
+// per-individual dispatch path (legacyEval), the scalar reference.
+func popPassOp(tb testing.TB, legacy bool) (members int, op func(int)) {
 	g, err := grammar.River(grammar.DefaultExtensions())
 	if err != nil {
 		tb.Fatal(err)
@@ -156,8 +156,11 @@ func popPassOp(tb testing.TB, noCluster bool) (members int, op func(int)) {
 	forcing, obs := benchWindow(tb)
 	opts := AllSpeedups(simCfg(obs))
 	opts.UseShortCircuit = false
-	ev := New(forcing, obs, bio.DefaultConstants(), opts)
-	eng, err := gp.NewEngine(g, ev, gp.Config{PopSize: len(pop), Seed: 3, Workers: 2, NoCluster: noCluster})
+	var ev gp.Evaluator = New(forcing, obs, bio.DefaultConstants(), opts)
+	if legacy {
+		ev = legacyEval{ev.(*Evaluator)}
+	}
+	eng, err := gp.NewEngine(g, ev, gp.Config{PopSize: len(pop), Seed: 3, Workers: 2})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -304,11 +307,11 @@ func TestTier2HitZeroAllocs(t *testing.T) {
 // a small constant, clustered or not. The average runs over enough passes
 // to amortize the growth of the tier-2 maps.
 func TestPopulationPassAllocs(t *testing.T) {
-	for _, noCluster := range []bool{false, true} {
-		members, op := popPassOp(t, noCluster)
+	for _, legacy := range []bool{false, true} {
+		members, op := popPassOp(t, legacy)
 		if got := allocsPerOp(t, 200, op); got > float64(members+8) {
-			t.Errorf("NoCluster=%v: simulating population pass allocates %.0f objects for %d members, want ≤ %d",
-				noCluster, got, members, members+8)
+			t.Errorf("legacy=%v: simulating population pass allocates %.0f objects for %d members, want ≤ %d",
+				legacy, got, members, members+8)
 		}
 	}
 }

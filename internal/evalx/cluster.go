@@ -73,13 +73,10 @@ func (e *Evaluator) EvaluateCluster(inds []*gp.Individual) {
 	var ent *structEntry
 	key := ms[0].ind.StructKey()
 	if e.opts.UseCache && key != "" {
-		if key[0] == e.keyTag {
-			ent = e.lookupStruct(key)
-		}
-		if ent == nil {
-			// Key memoized by a differently-configured evaluator, or the
-			// caller skipped ResolveStruct: resolve (and count) every
-			// member, as its own Evaluate call would.
+		if ent = e.lookupStruct(key); ent == nil {
+			// Key memoized by another evaluator, or the caller skipped
+			// ResolveStruct: resolve (and count) every member, as its own
+			// Evaluate call would.
 			for i := range ms {
 				ent, key = e.structFor(ms[i].ind)
 			}

@@ -71,8 +71,9 @@ func scalarSubset(s Stats) [12]int {
 
 // runPop drives one EvaluatePopulation pass over a fresh engine + fresh
 // evaluator and returns the population, evaluator stats, and the engine
-// quarantine count.
-func runPop(t *testing.T, g *tag.Grammar, opts Options, workers int, noCluster, legacy bool) ([]*gp.Individual, Stats, int64) {
+// quarantine count. legacy narrows the evaluator to the per-individual
+// dispatch path (legacyEval).
+func runPop(t *testing.T, g *tag.Grammar, opts Options, workers int, legacy bool) ([]*gp.Individual, Stats, int64) {
 	t.Helper()
 	forcing, obs, consts := smallData(t)
 	ev := New(forcing, obs, consts, opts)
@@ -81,7 +82,7 @@ func runPop(t *testing.T, g *tag.Grammar, opts Options, workers int, noCluster, 
 		geval = legacyEval{ev}
 	}
 	eng, err := gp.NewEngine(g, geval, gp.Config{
-		PopSize: 48, Seed: 11, Workers: workers, NoCluster: noCluster,
+		PopSize: 48, Seed: 11, Workers: workers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,13 +108,12 @@ func comparePops(t *testing.T, label string, a, b []*gp.Individual) {
 	}
 }
 
-// TestClusterScalarParity: at Workers=1 the clustered scheduler, the
-// -nocluster ablation, and the pre-cluster per-individual dispatch path
-// (legacy wrapper) must agree bitwise on every fitness and on the full
-// scalar counter subset — the clustered path is an optimization, not a
-// semantic change. It runs under every cached Fig 10 combination: the
-// tree cache (TC) alone, with short-circuiting (ES), with runtime
-// compilation (RC), and with both.
+// TestClusterScalarParity: at Workers=1 the clustered scheduler and the
+// per-individual dispatch path (legacy wrapper) must agree bitwise on every
+// fitness and on the full scalar counter subset — the clustered path is an
+// optimization, not a semantic change. It runs under every cached Fig 10
+// combination: the tree cache (TC) alone, with short-circuiting (ES), with
+// runtime compilation (RC), and with both.
 func TestClusterScalarParity(t *testing.T) {
 	_, obs, _ := smallData(t)
 	g, err := grammar.River(grammar.DefaultExtensions())
@@ -130,22 +130,17 @@ func TestClusterScalarParity(t *testing.T) {
 		{"TC+RC+ES", true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{UseCache: true, Simplify: true, UseShortCircuit: tc.es, UseCompile: tc.compile, Sim: simCfg(obs)}
+			opts := Options{UseCache: true, UseShortCircuit: tc.es, UseCompile: tc.compile, Sim: simCfg(obs)}
 
-			popRef, stRef, quarRef := runPop(t, g, opts, 1, false, true) // legacy per-individual
-			popClu, stClu, quarClu := runPop(t, g, opts, 1, false, false)
-			popNoC, stNoC, quarNoC := runPop(t, g, opts, 1, true, false)
+			popRef, stRef, quarRef := runPop(t, g, opts, 1, true) // legacy per-individual
+			popClu, stClu, quarClu := runPop(t, g, opts, 1, false)
 
 			comparePops(t, "clustered vs legacy", popClu, popRef)
-			comparePops(t, "nocluster vs legacy", popNoC, popRef)
 			if a, b := scalarSubset(stClu), scalarSubset(stRef); a != b {
 				t.Errorf("clustered counters %v != legacy %v", a, b)
 			}
-			if a, b := scalarSubset(stNoC), scalarSubset(stRef); a != b {
-				t.Errorf("nocluster counters %v != legacy %v", a, b)
-			}
-			if quarClu != quarRef || quarNoC != quarRef {
-				t.Errorf("quarantines: clustered %d, nocluster %d, legacy %d", quarClu, quarNoC, quarRef)
+			if quarClu != quarRef {
+				t.Errorf("quarantines: clustered %d, legacy %d", quarClu, quarRef)
 			}
 			// The duplicate-heavy shape must schedule multi-member clusters
 			// (each with intra-cluster duplicates), and with compilation
@@ -157,9 +152,9 @@ func TestClusterScalarParity(t *testing.T) {
 			if stRef.CacheHits == 0 {
 				t.Error("no tier-2 hits: the fixture's exact duplicates were never served from the cache")
 			}
-			if stNoC.PopClusters != 0 || stNoC.PopScalarFallbacks == 0 {
-				t.Errorf("nocluster run: %d clusters, %d scalar fallbacks; ablation not routing through singletons",
-					stNoC.PopClusters, stNoC.PopScalarFallbacks)
+			if stRef.PopClusters != 0 || stRef.PopScalarFallbacks != 0 {
+				t.Errorf("legacy run: %d clusters, %d scalar fallbacks; the wrapper must bypass the cluster scheduler",
+					stRef.PopClusters, stRef.PopScalarFallbacks)
 			}
 		})
 	}
@@ -187,15 +182,15 @@ func TestClusterFaultParity(t *testing.T) {
 		return opts
 	}
 
-	popClu, stClu, quarClu := runPop(t, g, mkOpts(), 1, false, false)
-	popNoC, stNoC, quarNoC := runPop(t, g, mkOpts(), 1, true, false)
+	popClu, stClu, quarClu := runPop(t, g, mkOpts(), 1, false)
+	popRef, stRef, quarRef := runPop(t, g, mkOpts(), 1, true)
 
-	comparePops(t, "faulty clustered vs nocluster", popClu, popNoC)
-	if a, b := scalarSubset(stClu), scalarSubset(stNoC); a != b {
-		t.Errorf("faulty counters: clustered %v != nocluster %v", a, b)
+	comparePops(t, "faulty clustered vs legacy", popClu, popRef)
+	if a, b := scalarSubset(stClu), scalarSubset(stRef); a != b {
+		t.Errorf("faulty counters: clustered %v != legacy %v", a, b)
 	}
-	if quarClu != quarNoC {
-		t.Errorf("engine quarantines: clustered %d != nocluster %d", quarClu, quarNoC)
+	if quarClu != quarRef {
+		t.Errorf("engine quarantines: clustered %d != legacy %d", quarClu, quarRef)
 	}
 	if quarClu == 0 && stClu.Quarantined() == 0 {
 		t.Error("10% panic + 10% nan over 46 members injected nothing (suspicious)")
@@ -235,8 +230,8 @@ func TestClusterWorkersParity(t *testing.T) {
 			}
 			return opts
 		}
-		pop1, st1, quar1 := runPop(t, g, mkOpts(), 1, false, false)
-		pop8, st8, quar8 := runPop(t, g, mkOpts(), 8, false, false)
+		pop1, st1, quar1 := runPop(t, g, mkOpts(), 1, false)
+		pop8, st8, quar8 := runPop(t, g, mkOpts(), 8, false)
 		comparePops(t, "workers 1 vs 8 ("+spec+")", pop1, pop8)
 		if quar1 != quar8 {
 			t.Errorf("spec %q: engine quarantines %d (w=1) != %d (w=8)", spec, quar1, quar8)
@@ -293,8 +288,8 @@ func TestClusterTelemetryExposition(t *testing.T) {
 
 // TestClusterStructKeyMemoInvariant: the memoized structure key survives
 // any sequence of variation operators. For every offspring, the key
-// ResolveStruct memoizes (possibly via the keyTag fast path on a stale
-// memo) must equal the key re-derived from scratch on a clone whose memo
+// ResolveStruct memoizes (possibly via the memoized-key fast path on a
+// stale memo) must equal the key re-derived from scratch on a clone whose memo
 // was explicitly dropped — i.e. operators that change structure invalidate
 // the memo, and operators that only touch parameters keep it.
 func TestClusterStructKeyMemoInvariant(t *testing.T) {

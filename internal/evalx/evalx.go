@@ -55,7 +55,9 @@ import (
 // Options selects the speedups and the simulation regime.
 type Options struct {
 	// UseCache enables the two-tier tree cache (structure tier +
-	// fitness tier).
+	// fitness tier). Both tiers key on the algebraically simplified
+	// canonical form, so UseCache also simplifies every structure before
+	// evaluation; without it the derived trees run as they are.
 	UseCache bool
 	// UseShortCircuit enables evaluation short-circuiting.
 	UseShortCircuit bool
@@ -67,9 +69,6 @@ type Options struct {
 	// compiled structure and its hoisted exogenous plan are reused across
 	// evaluations; without it both are rebuilt for every evaluation.
 	UseCompile bool
-	// Simplify applies algebraic simplification before evaluation (and
-	// before cache lookup, raising the hit rate).
-	Simplify bool
 	// Sim is the integration configuration; Phy0/Zoo0 should be the
 	// observed initial biomasses of the evaluation period.
 	Sim bio.SimConfig
@@ -82,16 +81,6 @@ type Options struct {
 	// injects the same faults regardless of worker count or cache
 	// warmth. A nil injector costs one nil check per evaluation.
 	Faults *faultinject.Injector
-	// ProfileLabels enables the pprof label eval_phase=step-kernel on the
-	// evaluation hot path, so CPU profiles attribute time to the register
-	// VM: each KernelLanes call of the scoring pipeline is one region, its
-	// per-member PARAM prologues included. Exogenous plan blocks are
-	// filled inside step-kernel, as the kernel reaches them. Enable only
-	// for profiling runs: each labeled region
-	// allocates a pprof label set, which forfeits the zero-allocation
-	// contract of the steady-state paths (riverbench flips this on
-	// together with -cpuprofile/-pprof).
-	ProfileLabels bool
 	// Tracer records one span per KernelLanes chunk of a compiled
 	// structure: evalx.simulate for a one-member chunk (the scalar loop),
 	// evalx.lane_batch for a lane launch of two or more members. Together
@@ -109,10 +98,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// AllSpeedups returns Options with caching, short-circuiting (threshold
-// 1.0), compilation, and simplification all enabled.
+// AllSpeedups returns Options with caching (and so simplification),
+// short-circuiting (threshold 1.0) and compilation all enabled.
 func AllSpeedups(sim bio.SimConfig) Options {
-	return Options{UseCache: true, UseShortCircuit: true, UseCompile: true, Simplify: true, Sim: sim}
+	return Options{UseCache: true, UseShortCircuit: true, UseCompile: true, Sim: sim}
 }
 
 // Reason classifies why an evaluation was quarantined: the candidate's
@@ -162,11 +151,6 @@ type Evaluator struct {
 	obs     []float64
 	consts  []bio.Constant
 	opts    Options
-	// keyTag prefixes every structure key with the simplify mode ('s'
-	// or 'r'), so a key memoized on an individual by a
-	// differently-configured evaluator can never alias an entry in this
-	// evaluator's caches.
-	keyTag byte
 
 	shards [cacheShards]cacheShard
 	ctr    counters
@@ -258,13 +242,9 @@ func New(forcing [][]float64, obs []float64, consts []bio.Constant, opts Options
 		obs:          obs,
 		consts:       consts,
 		opts:         o,
-		keyTag:       'r',
 		bestPrevFull: math.Inf(1),
 		pendingBest:  math.Inf(1),
 		tracer:       o.Tracer,
-	}
-	if o.Simplify {
-		e.keyTag = 's'
 	}
 	for i := range e.shards {
 		e.shards[i].structs = map[string]*structEntry{}
@@ -541,7 +521,7 @@ func (e *Evaluator) EvaluateParamBatch(ind *gp.Individual, paramSets [][]float64
 // slow path derives, simplifies, renders the canonical key, memoizes it on
 // the individual, and compiles on a cache miss.
 func (e *Evaluator) structFor(ind *gp.Individual) (*structEntry, string) {
-	if key := ind.StructKey(); key != "" && key[0] == e.keyTag {
+	if key := ind.StructKey(); key != "" {
 		if ent := e.lookupStruct(key); ent != nil {
 			e.ctr[cTier1Hits].Add(1)
 			return ent, key
@@ -553,7 +533,7 @@ func (e *Evaluator) structFor(ind *gp.Individual) (*structEntry, string) {
 	if err != nil {
 		return nil, ""
 	}
-	key := e.renderKey(phy, zoo)
+	key := renderKey(phy, zoo)
 	ind.SetStructKey(key)
 	if ent := e.lookupStruct(key); ent != nil {
 		e.ctr[cTier1Hits].Add(1)
@@ -584,11 +564,11 @@ func (e *Evaluator) insertStruct(key string, ent *structEntry) *structEntry {
 	return ent
 }
 
-// deriveSplitSimplify turns the derivation tree into the two (optionally
-// simplified, still unbound) derivative expressions.
+// deriveSplitSimplify turns the derivation tree into the two still unbound
+// derivative expressions, simplified under UseCache.
 func (e *Evaluator) deriveSplitSimplify(ind *gp.Individual) (phy, zoo *expr.Node, err error) {
 	e.ctr[cDerives].Add(1)
-	return deriveSplit(ind, e.opts.Simplify)
+	return deriveSplit(ind, e.opts.UseCache)
 }
 
 // deriveSplit is deriveSplitSimplify without the evaluator: the derive →
@@ -660,12 +640,12 @@ func (e *Evaluator) planFor(ent *structEntry) *bio.ExogPlan {
 	return ent.plan
 }
 
-// renderKey builds the canonical structure key: the simplify-mode tag and
-// the canonical strings of both derivative expressions.
-func (e *Evaluator) renderKey(phy, zoo *expr.Node) string {
+// renderKey builds the canonical structure key: "s|" (the simplified
+// form; the prefix is part of every tier-2 key and so of every fault
+// site) and the canonical strings of both derivative expressions.
+func renderKey(phy, zoo *expr.Node) string {
 	var b strings.Builder
-	b.WriteByte(e.keyTag)
-	b.WriteByte('|')
+	b.WriteString("s|")
 	b.WriteString(phy.String())
 	b.WriteByte('|')
 	b.WriteString(zoo.String())

@@ -90,8 +90,7 @@ func TestSpeedupsPreserveFitness(t *testing.T) {
 	combos := []Options{
 		{UseCache: true},
 		{UseCompile: true},
-		{Simplify: true},
-		{UseCache: true, UseCompile: true, Simplify: true},
+		{UseCache: true, UseCompile: true},
 	}
 	for ci, opt := range combos {
 		opt.Sim = simCfg(obs)
@@ -101,9 +100,9 @@ func TestSpeedupsPreserveFitness(t *testing.T) {
 			c := ind.Clone()
 			ev.Evaluate(c)
 			if c.Fitness != ref[i] && !(math.IsInf(c.Fitness, 1) && math.IsInf(ref[i], 1)) {
-				// Simplification may alter floating-point association;
-				// allow tiny relative drift only when Simplify is on.
-				relOK := opt.Simplify && math.Abs(c.Fitness-ref[i]) < 1e-6*(1+math.Abs(ref[i]))
+				// Simplification (under the cache) may alter floating-point
+				// association; allow tiny relative drift only there.
+				relOK := opt.UseCache && math.Abs(c.Fitness-ref[i]) < 1e-6*(1+math.Abs(ref[i]))
 				if !relOK {
 					t.Errorf("combo %d individual %d: fitness %v != reference %v", ci, i, c.Fitness, ref[i])
 				}
@@ -162,7 +161,7 @@ func TestSimplifyRaisesCacheHitRate(t *testing.T) {
 	withZero.Children = append(withZero.Children, child)
 
 	params := bio.Means(consts)
-	ev := New(forcing, obs, consts, Options{UseCache: true, Simplify: true, Sim: simCfg(obs)})
+	ev := New(forcing, obs, consts, Options{UseCache: true, Sim: simCfg(obs)})
 	ev.BeginBatch()
 	ev.Evaluate(gp.NewIndividual(plain, params))
 	ev.Evaluate(gp.NewIndividual(withZero, params))
@@ -269,7 +268,7 @@ func TestBatchFreezeDeterminism(t *testing.T) {
 func TestCompiledModelMatchesEvaluatorFitness(t *testing.T) {
 	forcing, obs, consts := smallData(t)
 	ind, _ := manualInd(t)
-	ev := New(forcing, obs, consts, Options{UseCompile: true, Simplify: true, Sim: simCfg(obs)})
+	ev := New(forcing, obs, consts, Options{UseCache: true, UseCompile: true, Sim: simCfg(obs)})
 	ev.BeginBatch()
 	ev.Evaluate(ind)
 	ev.EndBatch()
@@ -354,7 +353,7 @@ func TestEngineDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 	runWith := func(workers int) *gp.Result {
 		ev := New(forcing, obs, consts, Options{
-			UseCache: true, UseCompile: true, Simplify: true, UseShortCircuit: true,
+			UseCache: true, UseCompile: true, UseShortCircuit: true,
 			Sim: simCfg(obs),
 		})
 		eng, err := gp.NewEngine(g, ev, gp.Config{
@@ -437,7 +436,7 @@ func TestStatsAdd(t *testing.T) {
 // re-compile (ISSUE 1: "verify via a compile-counter stat in the test").
 func TestTierOneSkipsDeriveAndCompile(t *testing.T) {
 	forcing, obs, consts := smallData(t)
-	ev := New(forcing, obs, consts, Options{UseCache: true, UseCompile: true, Simplify: true, Sim: simCfg(obs)})
+	ev := New(forcing, obs, consts, Options{UseCache: true, UseCompile: true, Sim: simCfg(obs)})
 	ind, _ := manualInd(t)
 	ev.BeginBatch()
 	ev.Evaluate(ind)
@@ -476,7 +475,7 @@ func TestTierOneSkipsDeriveAndCompile(t *testing.T) {
 func TestSnapshotCountersAndJSON(t *testing.T) {
 	forcing, obs, consts := smallData(t)
 	_, g := manualInd(t)
-	ev := New(forcing, obs, consts, Options{UseCache: true, UseCompile: true, Simplify: true, Sim: simCfg(obs)})
+	ev := New(forcing, obs, consts, Options{UseCache: true, UseCompile: true, Sim: simCfg(obs)})
 
 	inds := make([]*gp.Individual, 8)
 	for i := range inds {

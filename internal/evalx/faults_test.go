@@ -14,7 +14,7 @@ func faultOpts(t *testing.T, obs []float64, spec string) Options {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Options{UseCache: true, UseCompile: true, Simplify: true, Sim: simCfg(obs), Faults: in}
+	return Options{UseCache: true, UseCompile: true, Sim: simCfg(obs), Faults: in}
 }
 
 func TestInjectedPanicReachesCaller(t *testing.T) {

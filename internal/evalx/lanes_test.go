@@ -22,7 +22,7 @@ import (
 func TestLaneBatchShortCircuits(t *testing.T) {
 	forcing, obs, consts := smallData(t)
 	ind, _ := manualInd(t)
-	opts := Options{UseCache: true, UseCompile: true, Simplify: true, UseShortCircuit: true, Sim: simCfg(obs)}
+	opts := Options{UseCache: true, UseCompile: true, UseShortCircuit: true, Sim: simCfg(obs)}
 	ev := New(forcing, obs, consts, opts)
 	// A committed reference far below any reachable RMSE forces every
 	// member's running RMSE above it as soon as minFrac of the cases are in.
@@ -72,7 +72,7 @@ func TestLaneCountersInSnapshot(t *testing.T) {
 		{"full+one", expr.Lanes + 1, 1, expr.Lanes},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ev := New(forcing, obs, consts, Options{UseCache: true, UseCompile: true, Simplify: true, Sim: simCfg(obs)})
+			ev := New(forcing, obs, consts, Options{UseCache: true, UseCompile: true, Sim: simCfg(obs)})
 			rng := rand.New(rand.NewSource(43))
 			paramSets := make([][]float64, tc.members)
 			for i := range paramSets {

@@ -1,9 +1,7 @@
 package evalx
 
 import (
-	"context"
 	"math"
-	"runtime/pprof"
 	"time"
 
 	"gmr/internal/faultinject"
@@ -149,8 +147,7 @@ func (e *Evaluator) poisonStep(h uint64) int {
 
 // score simulates the admitted misses ms[miss], which share one structure
 // entry, and finishes each in input order: one KernelLanes call for a
-// compiled entry (exogenous work served from its tier-1.5 plan, under the
-// pprof label eval_phase=step-kernel when profile labels are on),
+// compiled entry (exogenous work served from its tier-1.5 plan),
 // System.RunBuf per member for a tree entry (the Fig 10 "no RC" baseline).
 // A member that short-circuits or aborts drops out of its lane launch
 // mid-flight (lane compaction), so UseShortCircuit saves real work.
@@ -199,14 +196,7 @@ func (e *Evaluator) score(ms []member, miss []int, pol policy, sc *evalScratch) 
 			e.ctr[cPopLanesFilled].Add(int64(n))
 		}
 	}
-	kernel := func() {
-		ent.seg.KernelLanes(ent.plan, e.opts.Sim, &sc.sim, ps, func(j, t int, bphy float64) bool { return ms[miss[j]].step(&s, t, bphy) }, onLaunch)
-	}
-	if e.opts.ProfileLabels {
-		pprof.Do(context.Background(), pprof.Labels("eval_phase", "step-kernel"), func(context.Context) { kernel() })
-	} else {
-		kernel()
-	}
+	ent.seg.KernelLanes(ent.plan, e.opts.Sim, &sc.sim, ps, func(j, t int, bphy float64) bool { return ms[miss[j]].step(&s, t, bphy) }, onLaunch)
 	for _, i := range miss {
 		e.finish(&ms[i])
 	}

@@ -30,7 +30,7 @@ func jitterParams(rng *rand.Rand, base []float64) []float64 {
 func TestSegmentedMatchesMonolithic(t *testing.T) {
 	forcing, obs, consts := smallData(t)
 	_, g := manualInd(t)
-	opts := Options{UseCache: true, UseCompile: true, Simplify: true, UseShortCircuit: true, Sim: simCfg(obs)}
+	opts := Options{UseCache: true, UseCompile: true, UseShortCircuit: true, Sim: simCfg(obs)}
 	treeOpts := opts
 	treeOpts.UseCompile = false
 	segEv := New(forcing, obs, consts, opts)
@@ -82,7 +82,7 @@ func TestSegmentedMatchesMonolithic(t *testing.T) {
 func TestEvaluateParamBatchMatchesSequential(t *testing.T) {
 	forcing, obs, consts := smallData(t)
 	_, g := manualInd(t)
-	opts := Options{UseCache: true, UseCompile: true, Simplify: true, UseShortCircuit: true, Sim: simCfg(obs)}
+	opts := Options{UseCache: true, UseCompile: true, UseShortCircuit: true, Sim: simCfg(obs)}
 
 	rng := rand.New(rand.NewSource(23))
 	for si := 0; si < 6; si++ {
@@ -132,7 +132,7 @@ func TestEvaluateParamBatchMatchesSequential(t *testing.T) {
 func TestEvaluateParamBatchCacheDiscipline(t *testing.T) {
 	forcing, obs, consts := smallData(t)
 	ind, _ := manualInd(t)
-	opts := Options{UseCache: true, UseCompile: true, Simplify: true, Sim: simCfg(obs)}
+	opts := Options{UseCache: true, UseCompile: true, Sim: simCfg(obs)}
 	ev := New(forcing, obs, consts, opts)
 
 	rng := rand.New(rand.NewSource(31))
@@ -182,7 +182,7 @@ func TestBatchSteadyStateZeroAllocs(t *testing.T) {
 	}
 	forcing, obs, consts := smallData(t)
 	ind, _ := manualInd(t)
-	opts := Options{UseCache: true, UseCompile: true, Simplify: true, Sim: simCfg(obs)}
+	opts := Options{UseCache: true, UseCompile: true, Sim: simCfg(obs)}
 	ev := New(forcing, obs, consts, opts)
 
 	rng := rand.New(rand.NewSource(37))
@@ -207,7 +207,7 @@ func TestBatchSteadyStateZeroAllocs(t *testing.T) {
 func TestExogPlanCountersInSnapshot(t *testing.T) {
 	forcing, obs, consts := smallData(t)
 	ind, _ := manualInd(t)
-	ev := New(forcing, obs, consts, Options{UseCache: true, UseCompile: true, Simplify: true, Sim: simCfg(obs)})
+	ev := New(forcing, obs, consts, Options{UseCache: true, UseCompile: true, Sim: simCfg(obs)})
 	ev.BeginBatch()
 	for i := 0; i < 3; i++ {
 		c := ind.Clone()

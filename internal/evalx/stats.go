@@ -54,7 +54,7 @@ type Stats struct {
 	// Structure-clustered population-scheduler counters (DESIGN.md §14):
 	// clusters are same-structure groups the GP generation loop dispatched
 	// through EvaluateCluster; scalar fallbacks are singleton clusters
-	// (unique structures, failed derivations, or the -nocluster ablation).
+	// (unique structures or failed derivations).
 	// PopLaneBatches/PopLanesFilled are the subset of LaneBatches/
 	// LanesFilled launched by EvaluateCluster, and the histogram
 	// buckets cluster sizes at powers of two (1, 2, ≤4, ≤8, ..., >64).

@@ -252,26 +252,3 @@ func TestIslandsExperiment(t *testing.T) {
 		}
 	}
 }
-
-func TestRobustnessAggregation(t *testing.T) {
-	// Tiny scale, tiny datasets: exercise the aggregation path only.
-	sc := tinyScale
-	rows, err := Robustness(context.Background(), sc, []int64{21, 22}, []string{"MANUAL", "SA"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows, want 2", len(rows))
-	}
-	for _, r := range rows {
-		if len(r.PerSeed) != 2 {
-			t.Errorf("%s: %d seeds, want 2", r.Method, len(r.PerSeed))
-		}
-		if r.Mean <= 0 || math.IsNaN(r.Mean) {
-			t.Errorf("%s: mean %v", r.Method, r.Mean)
-		}
-	}
-	if _, err := Robustness(context.Background(), sc, nil, nil); err == nil {
-		t.Error("empty seed list accepted")
-	}
-}

@@ -114,9 +114,7 @@ func Fig10(ctx context.Context, ds *dataset.Dataset, sc Scale, popSize int, seed
 			UseCache:        combo.TC,
 			UseShortCircuit: combo.ES,
 			UseCompile:      combo.RC,
-			Simplify:        combo.TC, // simplification exists to raise cache hits
 			Sim:             sim,
-			ProfileLabels:   ProfileLabels,
 		}
 		ev := evalx.New(ds.TrainForcing(), ds.TrainObsPhy(), consts, opts)
 		start := time.Now()

@@ -14,14 +14,6 @@ import (
 	"gmr/internal/gp"
 )
 
-// ProfileLabels, when set before an experiment starts, enables per-phase
-// pprof labels on every evaluator the experiments construct (see
-// evalx.Options.ProfileLabels) so profiles break down by eval_phase and —
-// under the island orchestrator — by island. riverbench sets it alongside
-// its -cpuprofile/-memprofile/-pprof flags; it costs allocations on the
-// evaluation hot path, so it must stay off for benchmark snapshots.
-var ProfileLabels bool
-
 // Scale bundles the budget knobs of every method so that the full suite can
 // run at laptop scale by default while remaining expressible at the paper's
 // scale (Appendix B).
@@ -90,8 +82,6 @@ func ScaleByName(name string) (Scale, bool) {
 
 // gmrConfig assembles the core.Config for a scale.
 func gmrConfig(sc Scale, seed int64) core.Config {
-	eval := evalx.AllSpeedups(dataset.ModelSimConfig(sc.SubSteps, 0, 0))
-	eval.ProfileLabels = ProfileLabels
 	return core.Config{
 		GP: gp.Config{
 			PopSize:          sc.GMRPop,
@@ -99,7 +89,7 @@ func gmrConfig(sc Scale, seed int64) core.Config {
 			LocalSearchSteps: sc.GMRLocalSearch,
 			Seed:             seed,
 		},
-		Eval: eval,
+		Eval: evalx.AllSpeedups(dataset.ModelSimConfig(sc.SubSteps, 0, 0)),
 		Runs: sc.GMRRuns,
 		TopK: sc.TopK,
 	}

@@ -176,17 +176,17 @@ func TestSimplifyPreservesSemanticsGuarded(t *testing.T) {
 	}
 }
 
-// TestCanonIdempotent: Canon is a fixpoint after one application — the
-// canonical rendering (used as the tree-cache key) of Canon(t) and
-// Canon(Canon(t)) is identical for 500 random trees.
+// TestCanonIdempotent: the canonical form is a fixpoint after one
+// application — the canonical rendering (used as the tree-cache key) of
+// Simplify(t) and Simplify(Simplify(t)) is identical for 500 random trees.
 func TestCanonIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 500; i++ {
 		tree := randTree(rng, 5)
-		c1 := Canon(tree)
-		c2 := Canon(c1)
+		c1 := Simplify(tree)
+		c2 := Simplify(c1)
 		if c1.String() != c2.String() {
-			t.Fatalf("Canon not idempotent:\ntree  %s\nonce  %s\ntwice %s", tree, c1, c2)
+			t.Fatalf("Simplify not idempotent:\ntree  %s\nonce  %s\ntwice %s", tree, c1, c2)
 		}
 	}
 }
@@ -205,8 +205,8 @@ func TestCanonCollapsesEquivalentForms(t *testing.T) {
 	}
 	for _, c := range cases {
 		a, b := MustParse(c[0]), MustParse(c[1])
-		if got, want := Canon(a).String(), Canon(b).String(); got != want {
-			t.Errorf("Canon(%q) = %s, Canon(%q) = %s; want identical", c[0], got, c[1], want)
+		if got, want := Simplify(a).String(), Simplify(b).String(); got != want {
+			t.Errorf("Simplify(%q) = %s, Simplify(%q) = %s; want identical", c[0], got, c[1], want)
 		}
 	}
 }

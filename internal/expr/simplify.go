@@ -28,6 +28,14 @@ import "math"
 // Simplification never removes Param or Var nodes other than via the x-x
 // and x/x rules, so the parameter footprint of a model can only shrink in
 // ways that are algebraically justified.
+//
+// The result is also the canonical form: the operand normalizations
+// (literals to the right of commutative operators, associative literal
+// folding) make structurally equal revisions render identically, and the
+// rendering Simplify(t).String() is the tree-cache key. Simplify is
+// idempotent — Simplify(Simplify(t)) is structurally identical to
+// Simplify(t) — which the property tests enforce; cache identity depends
+// on it.
 func Simplify(n *Node) *Node {
 	return simplify(n.Clone())
 }
@@ -41,15 +49,6 @@ func Simplify(n *Node) *Node {
 func SimplifyOwned(n *Node) *Node {
 	return simplify(n)
 }
-
-// Canon returns the canonical form of a tree: algebraic simplification plus
-// the operand normalizations (literals to the right of commutative
-// operators, associative literal folding) that make structurally equal
-// revisions render identically. The canonical rendering Canon(t).String()
-// is the tree-cache key. Canon is idempotent — Canon(Canon(t)) is
-// structurally identical to Canon(t) — which the property tests enforce;
-// cache identity depends on it.
-func Canon(n *Node) *Node { return Simplify(n) }
 
 func simplify(n *Node) *Node {
 	for i, k := range n.Kids {

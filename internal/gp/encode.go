@@ -3,7 +3,6 @@ package gp
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 
@@ -58,8 +57,8 @@ func (s *SavedIndividual) Resolve(g *tag.Grammar) (*Individual, error) {
 	return ind, nil
 }
 
-// Save writes the individual as JSON, suitable for LoadIndividual against
-// the same grammar.
+// Save writes the individual as JSON: a SavedIndividual, which Resolve
+// turns back into the individual against the same grammar.
 func (ind *Individual) Save(w io.Writer) error {
 	sm, err := ind.Saved()
 	if err != nil {
@@ -68,22 +67,4 @@ func (ind *Individual) Save(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(sm)
-}
-
-// LoadIndividual reads an individual saved by Save, resolving its
-// derivation tree against the grammar. The individual is returned
-// unevaluated: a deployed model's stored fitness belongs to the training
-// context it was saved from, so loaders re-evaluate in their own context.
-// (Checkpoint restore, which must preserve fitnesses exactly, goes through
-// SavedIndividual.Resolve instead.)
-func LoadIndividual(r io.Reader, g *tag.Grammar) (*Individual, error) {
-	var sm SavedIndividual
-	if err := json.NewDecoder(r).Decode(&sm); err != nil {
-		return nil, fmt.Errorf("gp: load: %v", err)
-	}
-	d, err := g.Decode(bytes.NewReader(sm.Deriv))
-	if err != nil {
-		return nil, err
-	}
-	return NewIndividual(d, sm.Params), nil
 }

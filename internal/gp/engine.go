@@ -69,13 +69,6 @@ type Config struct {
 	// expert parameter values that model revision receives as input
 	// along with the initial structure).
 	InitParams []float64
-	// NoCluster disables structure clustering in the population scheduler
-	// (DESIGN.md §14): every individual becomes a singleton cluster, scored
-	// one member per evaluator call through the same code path with no
-	// lane launches (the -nocluster ablation). It changes performance only;
-	// fitnesses, quarantine decisions, and RNG streams are bitwise
-	// identical either way.
-	NoCluster bool
 	// SeedIndividuals are cloned into the initial population before the
 	// random derivations are drawn (e.g. the unrevised input process
 	// itself, so the search starts no worse than its knowledge-based
@@ -861,17 +854,13 @@ func (e *Engine) evaluatePop(pop []*Individual, followUp func(*Individual, *rand
 // same-structure clusters: members sharing a memoized structure key group
 // together (population order within a cluster, first-seen order across
 // clusters); key-less individuals (failed derivations) are singletons.
-// Under Config.NoCluster every individual is a singleton, which routes the
-// whole generation through one-member EvaluateCluster calls — the ablation
-// exercises the identical code path minus the lane launches. A plain
-// Evaluator's individuals are singletons too.
+// A plain Evaluator's individuals are all singletons.
 // The partition is returned as a flat cluster-grouped member order plus
 // per-cluster end offsets, built in reusable engine scratch — the steady
 // state allocates nothing.
 func (e *Engine) clusterPop(pop []*Individual) (order []*Individual, ends []int) {
 	counts := e.clusterCounts[:0]
 	ids := e.clusterID[:0]
-	solo := e.cfg.NoCluster || e.ce == nil
 	if e.clusterIdx == nil {
 		e.clusterIdx = make(map[string]int, len(pop))
 	} else {
@@ -884,7 +873,7 @@ func (e *Engine) clusterPop(pop []*Individual) (order []*Individual, ends []int)
 			continue
 		}
 		key := ind.StructKey()
-		if key == "" || solo {
+		if key == "" || e.ce == nil {
 			ids = append(ids, len(counts))
 			counts = append(counts, 1)
 			continue

@@ -2,6 +2,7 @@ package gp
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -339,6 +340,16 @@ func TestLocalSearchOnlyImproves(t *testing.T) {
 	}
 }
 
+// loadSaved reads an individual written by Save back through
+// SavedIndividual.Resolve.
+func loadSaved(s string, g *tag.Grammar) (*Individual, error) {
+	var sm SavedIndividual
+	if err := json.Unmarshal([]byte(s), &sm); err != nil {
+		return nil, err
+	}
+	return sm.Resolve(g)
+}
+
 func TestIndividualSaveLoad(t *testing.T) {
 	g := testGrammar()
 	ind := makeIndividual(t, g, 31, 3, 9)
@@ -347,7 +358,7 @@ func TestIndividualSaveLoad(t *testing.T) {
 	if err := ind.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadIndividual(strings.NewReader(buf.String()), g)
+	back, err := loadSaved(buf.String(), g)
 	if err != nil {
 		t.Fatal(err)
 	}

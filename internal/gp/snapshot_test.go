@@ -223,9 +223,9 @@ func TestReplaceWorstInjectsMigrants(t *testing.T) {
 
 // TestSavedIndividualPropertyRoundTrip is the property-style round-trip test
 // over the real river grammar: ~100 random derivations must survive
-// Save/LoadIndividual (and the checkpoint path Saved/Resolve) with the
-// derivation, the canonical simplified structure key, and bit-identical
-// parameters preserved.
+// Save (read back through SavedIndividual.Resolve) and the checkpoint path
+// Saved/Resolve with the derivation, the canonical simplified structure
+// key, bit-identical parameters, and the evaluation state preserved.
 func TestSavedIndividualPropertyRoundTrip(t *testing.T) {
 	g, err := grammar.River(grammar.DefaultExtensions())
 	if err != nil {
@@ -271,7 +271,7 @@ func TestSavedIndividualPropertyRoundTrip(t *testing.T) {
 		if err := ind.Save(&buf); err != nil {
 			t.Fatalf("trial %d: save: %v", trial, err)
 		}
-		back, err := LoadIndividual(strings.NewReader(buf.String()), g)
+		back, err := loadSaved(buf.String(), g)
 		if err != nil {
 			t.Fatalf("trial %d: load: %v", trial, err)
 		}
@@ -290,8 +290,9 @@ func TestSavedIndividualPropertyRoundTrip(t *testing.T) {
 					trial, i, back.Params[i], ind.Params[i])
 			}
 		}
-		if back.Evaluated {
-			t.Fatalf("trial %d: LoadIndividual must return unevaluated individuals", trial)
+		if math.Float64bits(back.Fitness) != math.Float64bits(ind.Fitness) ||
+			back.Evaluated != ind.Evaluated || back.FullEval != ind.FullEval {
+			t.Fatalf("trial %d: evaluation state changed through Save: %+v", trial, back)
 		}
 
 		// Checkpoint path: Saved/Resolve restores evaluation state exactly.

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestMetricEdgeCases drives all four metrics through the degenerate-input
+// TestMetricEdgeCases drives both metrics through the degenerate-input
 // table: empty series, a single point, all-NaN series (either side), ±Inf
 // contamination, constant series (zero variance), and mismatched lengths.
 // Every metric must return its documented worst-case sentinel — never NaN,
@@ -36,12 +36,6 @@ func TestMetricEdgeCases(t *testing.T) {
 			if v := MAE(tc.pred, tc.obs); math.IsNaN(v) {
 				t.Errorf("MAE = NaN")
 			}
-			if v := NSE(tc.pred, tc.obs); math.IsNaN(v) {
-				t.Errorf("NSE = NaN")
-			}
-			if v := R2(tc.pred, tc.obs); math.IsNaN(v) {
-				t.Errorf("R2 = NaN")
-			}
 		})
 	}
 
@@ -55,22 +49,5 @@ func TestMetricEdgeCases(t *testing.T) {
 	}
 	if v := MAE(nil, nil); !math.IsInf(v, 1) {
 		t.Errorf("MAE(empty) = %v, want +Inf", v)
-	}
-	if v := NSE([]float64{4, 4, 4}, []float64{5, 5, 5}); !math.IsInf(v, -1) {
-		t.Errorf("NSE on zero-variance obs = %v, want -Inf", v)
-	}
-	if v := R2([]float64{1, 2, 3}, []float64{5, 5, 5}); v != 0 {
-		t.Errorf("R2 on constant obs = %v, want 0", v)
-	}
-	if v := R2([]float64{nan, 2, 3}, []float64{1, 2, 3}); v != 0 {
-		t.Errorf("R2 with NaN pred = %v, want 0", v)
-	}
-	if v := R2([]float64{1}, []float64{2}); v != 0 {
-		t.Errorf("R2 on a single point = %v, want 0", v)
-	}
-
-	// A healthy series still scores normally after the guards.
-	if v := R2([]float64{1, 2, 3}, []float64{2, 4, 6}); math.Abs(v-1) > 1e-12 {
-		t.Errorf("R2 on perfectly correlated series = %v, want 1", v)
 	}
 }

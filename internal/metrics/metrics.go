@@ -1,13 +1,8 @@
 // Package metrics implements the forecast-accuracy measures used in the
-// paper's evaluation (Section IV-C): RMSE and MAE, plus the Nash–Sutcliffe
-// efficiency and R² commonly reported alongside them in hydrology.
+// paper's evaluation (Section IV-C): RMSE and MAE.
 package metrics
 
-import (
-	"math"
-
-	"gmr/internal/stats"
-)
+import "math"
 
 // RMSE returns the root mean square error between predicted and observed
 // series. It returns +Inf when the lengths differ or the series are empty,
@@ -43,50 +38,6 @@ func MAE(pred, obs []float64) float64 {
 		sae += math.Abs(pred[i] - obs[i])
 	}
 	return sae / float64(len(pred))
-}
-
-// NSE returns the Nash–Sutcliffe model efficiency: 1 - SSE/SS_tot. A value of
-// 1 is a perfect fit; 0 means the model predicts no better than the observed
-// mean. Returns -Inf for invalid input.
-func NSE(pred, obs []float64) float64 {
-	if len(pred) != len(obs) || len(pred) == 0 {
-		return math.Inf(-1)
-	}
-	mean := stats.Mean(obs)
-	var sse, sst float64
-	for i := range pred {
-		if !finite(pred[i]) || !finite(obs[i]) {
-			return math.Inf(-1)
-		}
-		d := pred[i] - obs[i]
-		sse += d * d
-		m := obs[i] - mean
-		sst += m * m
-	}
-	if sst == 0 {
-		return math.Inf(-1)
-	}
-	return 1 - sse/sst
-}
-
-// R2 returns the squared Pearson correlation between predicted and observed
-// series. Invalid input — mismatched lengths, fewer than two points,
-// constant series, or any non-finite value in either series — yields 0 (no
-// explanatory power). Without the finiteness guard, Pearson's sums would
-// propagate NaN through the zero-variance check and into reports.
-func R2(pred, obs []float64) float64 {
-	for i := range pred {
-		if !finite(pred[i]) {
-			return 0
-		}
-	}
-	for i := range obs {
-		if !finite(obs[i]) {
-			return 0
-		}
-	}
-	r := stats.Pearson(pred, obs)
-	return r * r
 }
 
 // finite reports whether v is neither NaN nor ±Inf.

@@ -67,26 +67,3 @@ func TestMAELeqRMSE(t *testing.T) {
 		}
 	}
 }
-
-func TestNSE(t *testing.T) {
-	obs := []float64{1, 2, 3, 4}
-	if v := NSE(obs, obs); math.Abs(v-1) > 1e-12 {
-		t.Errorf("perfect NSE = %v", v)
-	}
-	// Predicting the mean gives NSE 0.
-	mean := []float64{2.5, 2.5, 2.5, 2.5}
-	if v := NSE(mean, obs); math.Abs(v) > 1e-12 {
-		t.Errorf("mean-prediction NSE = %v", v)
-	}
-	if !math.IsInf(NSE([]float64{1}, []float64{1}), -1) {
-		t.Error("constant observations should give -Inf NSE")
-	}
-}
-
-func TestR2(t *testing.T) {
-	obs := []float64{1, 2, 3, 4}
-	pred := []float64{2, 4, 6, 8} // perfectly correlated
-	if v := R2(pred, obs); math.Abs(v-1) > 1e-12 {
-		t.Errorf("R2 = %v, want 1", v)
-	}
-}

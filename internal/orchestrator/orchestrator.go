@@ -199,11 +199,12 @@ func New(cfg Config) (*Orchestrator, error) {
 // first error (by island order, for determinism of error reporting).
 //
 // Each island's goroutine carries a pprof label ("island" → index), so CPU
-// and heap profiles attribute samples per island. Goroutines spawned inside
-// fn — notably the gp engine's worker pool, started under parallelIslands —
-// inherit the label, and the evaluator's eval_phase labels (see
-// evalx.Options.ProfileLabels) nest under it. The label costs one pprof.Do per
-// island per barrier, far off any hot path.
+// and heap profiles attribute samples per island (go tool pprof -tagshow
+// island). Goroutines spawned inside fn — notably the gp engine's worker
+// pool, started under parallelIslands — inherit the label. Within an
+// island, stack frames already separate the phases: -focus KernelLanes
+// selects the simulation kernel. The label costs one pprof.Do per island
+// per barrier, far off any hot path.
 func (o *Orchestrator) parallelIslands(fn func(i int) error) error {
 	errs := make([]error, o.cfg.Islands)
 	var wg sync.WaitGroup

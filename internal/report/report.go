@@ -163,22 +163,3 @@ func diffOne(label string, manual, revised *expr.Node) []string {
 	out = append(out, fmt.Sprintf("%s: size %d → %d nodes", label, manual.Size(), revised.Size()))
 	return out
 }
-
-// PredictionsCSV writes day,observed,predicted rows for the test window —
-// raw material for plotting the forecast against observations.
-func PredictionsCSV(w io.Writer, ds *dataset.Dataset, res *core.Result) error {
-	if len(res.TestPred) == 0 {
-		return fmt.Errorf("report: result has no test predictions")
-	}
-	if _, err := fmt.Fprintln(w, "date,observed,predicted"); err != nil {
-		return err
-	}
-	obs := ds.TestObsPhy()
-	for i, p := range res.TestPred {
-		day := ds.TrainEnd + i
-		if _, err := fmt.Fprintf(w, "%s,%g,%g\n", ds.Dates[day], obs[i], p); err != nil {
-			return err
-		}
-	}
-	return nil
-}

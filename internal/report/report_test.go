@@ -83,21 +83,3 @@ func TestDiffAgainstManual(t *testing.T) {
 		t.Errorf("size change not reported:\n%s", joined)
 	}
 }
-
-func TestPredictionsCSV(t *testing.T) {
-	ds, res := testRun(t)
-	var buf strings.Builder
-	if err := PredictionsCSV(&buf, ds, res); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if lines[0] != "date,observed,predicted" {
-		t.Errorf("bad header %q", lines[0])
-	}
-	if len(lines)-1 != len(res.TestPred) {
-		t.Errorf("%d rows for %d predictions", len(lines)-1, len(res.TestPred))
-	}
-	if !strings.HasPrefix(lines[1], ds.Dates[ds.TrainEnd]) {
-		t.Errorf("first row %q does not start at the test window", lines[1])
-	}
-}

@@ -27,11 +27,7 @@ func ConfigDigest(consts []bio.Constant, sim bio.SimConfig) string {
 	for _, v := range bio.Variables() {
 		h = h.Field(v.Name)
 	}
-	h = h.Field("sim").Int(sim.SubSteps).F64(sim.ClampMin).F64(sim.ClampMax)
-	if sim.ClampDisabled {
-		h = h.Field("noclamp")
-	}
-	return h.Hex()
+	return h.Field("sim").Int(sim.SubSteps).F64(sim.ClampMin).F64(sim.ClampMax).Hex()
 }
 
 // overridesDigest hashes a scenario-override map (variable or parameter

@@ -143,7 +143,6 @@ func NewRegistry(dir string, consts []bio.Constant, trainForcing [][]float64, tr
 		eval: evalx.New(trainForcing, trainObs, consts, evalx.Options{
 			UseCache:   true,
 			UseCompile: true,
-			Simplify:   true,
 			Sim:        sim,
 		}),
 	}

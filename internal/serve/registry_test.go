@@ -3,14 +3,13 @@ package serve
 import (
 	"encoding/json"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"gmr/internal/bio"
 	"gmr/internal/core"
+	"gmr/internal/dataset"
 	"gmr/internal/gp"
 	"gmr/internal/orchestrator"
 )
@@ -112,12 +111,12 @@ func TestRegistryRejectionReasons(t *testing.T) {
 // TestRegistryRejectsUnbindableCheckpoint: a checkpoint carries no serving
 // fingerprints, so a model whose parameter names the serving constants do
 // not define passes decode and the parameter-count check and fails only at
-// binding. It is rejected as bad_structure, and the listing still shows the
-// expressions that failed to bind.
+// binding. It is rejected as bad_structure, and the entry still carries the
+// expressions that failed to bind (the /v1/models listing shows them).
 func TestRegistryRejectsUnbindableCheckpoint(t *testing.T) {
 	consts := bio.DefaultConstants()
 	consts[0].Name += "_renamed"
-	s, dir := newTestServer(t, func(c *Config) { c.Constants = consts })
+	dir := t.TempDir()
 
 	ind, _, err := core.ManualIndividual(core.Config{})
 	if err != nil {
@@ -137,36 +136,27 @@ func TestRegistryRejectsUnbindableCheckpoint(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "island.ckpt"), blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Reload(); err != nil {
+	ds := testDataset(t)
+	sim := dataset.ModelSimConfig(2, ds.ObsPhy[0], ds.ObsZoo[0])
+	reg, err := NewRegistry(dir, consts, ds.TrainForcing(), ds.TrainObsPhy(), sim)
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/models", nil))
-	var listing struct {
-		Models []struct {
-			ID, Source, Status, Reason, Detail string
-			PhyExpr                            string `json:"phy_expr"`
-			ZooExpr                            string `json:"zoo_expr"`
-		} `json:"models"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &listing); err != nil {
-		t.Fatalf("%v: %s", err, rec.Body)
-	}
-	for _, m := range listing.Models {
+	for _, m := range reg.Models() {
 		if m.ID != "island" {
 			continue
 		}
-		if m.Source != "checkpoint" || m.Status != string(StatusRejected) || m.Reason != RejectBadStructure {
+		if m.Source != "checkpoint" || m.Status != StatusRejected || m.Reason != RejectBadStructure {
 			t.Fatalf("checkpoint: source %q status %q reason %q (%s), want a rejected checkpoint with %q",
 				m.Source, m.Status, m.Reason, m.Detail, RejectBadStructure)
 		}
 		if m.PhyExpr == "" || m.ZooExpr == "" {
-			t.Fatalf("rejected listing lost its expressions: phy %q zoo %q", m.PhyExpr, m.ZooExpr)
+			t.Fatalf("rejected entry lost its expressions: phy %q zoo %q", m.PhyExpr, m.ZooExpr)
 		}
 		return
 	}
-	t.Fatalf("checkpoint missing from the listing: %s", rec.Body)
+	t.Fatalf("checkpoint missing from the registry: %d models", len(reg.Models()))
 }
 
 func TestReloadReusesUnchangedEntriesAndSwapsChanged(t *testing.T) {

@@ -32,8 +32,6 @@ type Config struct {
 	// Dataset is the serving dataset: forcing series, observations, and
 	// date index that forecasts are simulated against.
 	Dataset *dataset.Dataset
-	// Constants is the constant-parameter table (bio.DefaultConstants()).
-	Constants []bio.Constant
 	// SubSteps is the Euler substep count per day (default 2, matching
 	// the training default — it is part of the config digest, so serving
 	// with a different regime rejects bundles trained under the default).
@@ -86,9 +84,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if cfg.ModelsDir == "" {
 		return cfg, errors.New("serve: Config.ModelsDir is required")
-	}
-	if len(cfg.Constants) == 0 {
-		cfg.Constants = bio.DefaultConstants()
 	}
 	if cfg.SubSteps <= 0 {
 		cfg.SubSteps = 2
@@ -157,14 +152,15 @@ func New(c Config) (*Server, error) {
 	}
 	ds := cfg.Dataset
 	sim := dataset.ModelSimConfig(cfg.SubSteps, ds.ObsPhy[0], ds.ObsZoo[0])
-	reg, err := NewRegistry(cfg.ModelsDir, cfg.Constants, ds.TrainForcing(), ds.TrainObsPhy(), sim)
+	consts := bio.DefaultConstants()
+	reg, err := NewRegistry(cfg.ModelsDir, consts, ds.TrainForcing(), ds.TrainObsPhy(), sim)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
 		ds:         ds,
-		consts:     cfg.Constants,
-		paramIdx:   bio.ParamIndex(cfg.Constants),
+		consts:     consts,
+		paramIdx:   bio.ParamIndex(consts),
 		varIdx:     bio.VarIndex(),
 		subSteps:   cfg.SubSteps,
 		reqTimeout: cfg.RequestTimeout,

@@ -268,24 +268,6 @@ func Adjoin(tree *expr.Node, addr Address, aux *expr.Node, footSym string) (*exp
 	return ReplaceAt(tree, addr, aux)
 }
 
-// Substitute performs the TAG substitution operation on a derived tree:
-// the substitution site at addr (whose symbol must equal sym) is replaced
-// by initial, a (derived) initial tree. It mutates tree and returns the new
-// root.
-func Substitute(tree *expr.Node, addr Address, initial *expr.Node, sym string) (*expr.Node, error) {
-	target, err := NodeAt(tree, addr)
-	if err != nil {
-		return nil, err
-	}
-	if target.Kind != expr.SubSite {
-		return nil, fmt.Errorf("tag: substitution target at %s is not a substitution site", addr)
-	}
-	if target.Sym != sym {
-		return nil, fmt.Errorf("tag: substitution site at %s labeled %q, want %q", addr, target.Sym, sym)
-	}
-	return ReplaceAt(tree, addr, initial)
-}
-
 // OpenAddress identifies an unoccupied adjunction address in a derivation
 // tree: the derivation node, the address within its elementary tree, and
 // the symbol at that address.

@@ -397,27 +397,6 @@ func TestOpenAddressesShrinkAsOccupied(t *testing.T) {
 	}
 }
 
-func TestSubstituteOperation(t *testing.T) {
-	tree := expr.Add(expr.NewVar("x"), expr.NewSubSite("R"))
-	out, err := Substitute(tree, Address{1}, expr.NewLit(2), "R")
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := &expr.Env{VarByName: map[string]float64{"x": 1}}
-	if got := out.MustEval(env); got != 3 {
-		t.Errorf("substituted tree = %v, want 3", got)
-	}
-	// Wrong symbol.
-	tree2 := expr.Add(expr.NewVar("x"), expr.NewSubSite("R"))
-	if _, err := Substitute(tree2, Address{1}, expr.NewLit(2), "S"); err == nil {
-		t.Error("substitution with mismatched symbol accepted")
-	}
-	// Not a site.
-	if _, err := Substitute(tree2, Address{0}, expr.NewLit(2), "R"); err == nil {
-		t.Error("substitution at non-site accepted")
-	}
-}
-
 func TestAdjoinErrors(t *testing.T) {
 	tree := expr.Mul(expr.NewVar("a"), expr.NewVar("b")).Labeled("Exp")
 	auxNoFoot := expr.NewLit(1).Labeled("Exp")
@@ -535,32 +514,5 @@ func TestDecodeErrors(t *testing.T) {
 	// A β-tree at the root is structurally invalid.
 	if _, err := g.Decode(strings.NewReader(`{"elem":"beta:fig3","lexemes":["1.5"]}`)); err == nil {
 		t.Error("β-rooted derivation accepted")
-	}
-}
-
-func TestWriteDOT(t *testing.T) {
-	g := fig3Grammar()
-	rng := rand.New(rand.NewSource(6))
-	d, err := g.RandomDeriv(rng, 3, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if err := WriteDOT(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "digraph derivation {") || !strings.HasSuffix(strings.TrimSpace(out), "}") {
-		t.Errorf("malformed DOT:\n%s", out)
-	}
-	// One node per derivation node, one edge per child.
-	if got := strings.Count(out, "label=\"@"); got != d.Size()-1 {
-		t.Errorf("%d edges for %d nodes", got, d.Size())
-	}
-	if !strings.Contains(out, "alpha:fig3") {
-		t.Errorf("root α missing from DOT:\n%s", out)
-	}
-	if err := WriteDOT(&buf, nil); err == nil {
-		t.Error("nil tree accepted")
 	}
 }
