@@ -203,28 +203,28 @@ func BenchmarkEvaluate_Tier2Hit(b *testing.B) {
 }
 
 // BenchmarkEvaluateParamBatch measures the segmented batch path amortized
-// per member: one structure, batches of λ parameter vectors, reused result
-// buffer. λ = 8 is exactly one full-width lane launch per call; λ = 16 is
-// two. Steady state this must be allocation-free — the contract
+// per member: one structure, sweeps of λ candidate individuals, reused
+// from call to call. λ = 8 is exactly one full-width lane launch per call;
+// λ = 16 is two. Steady state this must be allocation-free — the contract
 // TestBatchSteadyStateZeroAllocs enforces.
 func BenchmarkEvaluateParamBatch(b *testing.B) {
 	for _, lam := range []int{8, 16} {
 		b.Run(fmt.Sprintf("lambda=%d", lam), func(b *testing.B) {
 			base := benchIndividuals(b, 1, 13)[0]
 			ev := benchEvaluator(b, true)
-			paramSets := make([][]float64, lam)
-			for i := range paramSets {
-				paramSets[i] = append([]float64(nil), base.Params...)
+			cands := make([]*gp.Individual, lam)
+			for i := range cands {
+				cands[i] = base.Clone()
 			}
-			out := make([]gp.BatchResult, 0, lam)
-			ev.EvaluateParamBatch(base, paramSets, out) // warm: derive, compile, plan
+			ev.EvaluateParamBatch(cands) // warm: derive, compile, plan
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i += lam {
-				for j := range paramSets {
-					paramSets[j][0] = 0.1 + float64(i+j)*1e-9
+				for j, c := range cands {
+					c.Params[0] = 0.1 + float64(i+j)*1e-9
+					c.Invalidate()
 				}
-				ev.EvaluateParamBatch(base, paramSets, out[:0])
+				ev.EvaluateParamBatch(cands)
 			}
 			b.StopTimer()
 			st := ev.Stats()

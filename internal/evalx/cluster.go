@@ -60,13 +60,7 @@ func (e *Evaluator) EvaluateCluster(inds []*gp.Individual) {
 	sc := e.scratch.Get().(*evalScratch)
 	defer e.scratch.Put(sc)
 
-	ms := sc.members[:0]
-	for _, ind := range inds {
-		if !ind.Evaluated {
-			ms = append(ms, member{ind: ind, params: ind.Params})
-		}
-	}
-	sc.members = ms
+	ms := sc.gather(inds)
 	if len(ms) == 0 {
 		return
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"gmr/internal/expr"
-	"gmr/internal/gp"
 )
 
 // Tests for the lane-batched EvaluateParamBatch path (DESIGN.md §11):
@@ -34,11 +33,12 @@ func TestLaneBatchShortCircuits(t *testing.T) {
 		paramSets[i] = jitterParams(rng, ind.Params)
 	}
 	ev.BeginBatch()
-	out := ev.EvaluateParamBatch(ind, paramSets, nil)
+	out := proposals(ind, paramSets)
+	ev.EvaluateParamBatch(out)
 	ev.EndBatch()
 
 	for i, r := range out {
-		if r.Full {
+		if r.FullEval {
 			t.Fatalf("member %d ran fully; want short-circuited against the tiny reference", i)
 		}
 		if math.IsInf(r.Fitness, 1) || math.IsNaN(r.Fitness) {
@@ -79,7 +79,7 @@ func TestLaneCountersInSnapshot(t *testing.T) {
 				paramSets[i] = jitterParams(rng, ind.Params)
 			}
 			ev.BeginBatch()
-			ev.EvaluateParamBatch(ind, paramSets, nil)
+			ev.EvaluateParamBatch(proposals(ind, paramSets))
 			ev.EndBatch()
 
 			st := ev.Stats()
@@ -125,26 +125,19 @@ func TestLaneBatchMatchesSequentialUnderFaults(t *testing.T) {
 
 		seqEv := New(forcing, obs, consts, faultOpts(t, obs, spec))
 		seqEv.BeginBatch()
-		want := make([]gp.BatchResult, len(paramSets))
-		for i, ps := range paramSets {
-			c := ind.Clone()
-			c.Params = append([]float64(nil), ps...)
-			c.Invalidate()
+		want := proposals(ind, paramSets)
+		for _, c := range want {
 			seqEv.Evaluate(c)
-			want[i] = gp.BatchResult{Fitness: c.Fitness, Full: c.FullEval}
 		}
 		seqEv.EndBatch()
 
 		batchEv := New(forcing, obs, consts, faultOpts(t, obs, spec))
 		batchEv.BeginBatch()
-		got := batchEv.EvaluateParamBatch(ind, paramSets, nil)
+		got := proposals(ind, paramSets)
+		batchEv.EvaluateParamBatch(got)
 		batchEv.EndBatch()
 
-		for i := range want {
-			if math.Float64bits(got[i].Fitness) != math.Float64bits(want[i].Fitness) || got[i].Full != want[i].Full {
-				t.Fatalf("structure %d member %d under %q: batch %+v != sequential %+v", si, i, spec, got[i], want[i])
-			}
-		}
+		sameFitness(t, fmt.Sprintf("structure %d under %q", si, spec), got, want)
 		if a, b := seqEv.Stats(), batchEv.Stats(); a.QuarNaN != b.QuarNaN {
 			t.Fatalf("structure %d: quarantine counts diverged: sequential %d batch %d", si, a.QuarNaN, b.QuarNaN)
 		}

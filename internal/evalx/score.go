@@ -48,7 +48,7 @@ func (e *Evaluator) newScoring() scoring {
 // admission record and its running state and outcome. A lane launch keeps
 // one per lane, so one hook drives every member of a KernelLanes call.
 type member struct {
-	ind    *gp.Individual // the member's individual (shared by a parameter sweep)
+	ind    *gp.Individual // the member's individual, which the commit writes
 	params []float64
 	ent    *structEntry // the entry that simulates it, set on admission
 	site   uint64       // fault-injection and tier-2 shard site hash

@@ -1,6 +1,7 @@
 package evalx
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,6 +11,34 @@ import (
 
 // Differential and allocation tests for the segmented evaluation path
 // (tier-1.5 exogenous-plan cache + EvaluateParamBatch, DESIGN.md §10).
+
+// proposals returns one unevaluated clone of ind per parameter vector, each
+// carrying ind's memoized structure key: the candidates of a parameter
+// sweep.
+func proposals(ind *gp.Individual, paramSets [][]float64) []*gp.Individual {
+	out := make([]*gp.Individual, len(paramSets))
+	for i, ps := range paramSets {
+		out[i] = ind.Clone()
+		out[i].Params = append([]float64(nil), ps...)
+		out[i].Invalidate()
+	}
+	return out
+}
+
+// sameFitness fails the test unless got and want carry bitwise-equal
+// fitnesses and equal full-evaluation flags, member by member.
+func sameFitness(t *testing.T, what string, got, want []*gp.Individual) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d members, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Evaluated || math.Float64bits(got[i].Fitness) != math.Float64bits(want[i].Fitness) || got[i].FullEval != want[i].FullEval {
+			t.Fatalf("%s member %d: fitness %v (full %t, evaluated %t), want %v (full %t)",
+				what, i, got[i].Fitness, got[i].FullEval, got[i].Evaluated, want[i].Fitness, want[i].FullEval)
+		}
+	}
+}
 
 // jitterParams returns a copy of base with every entry nudged by a small
 // deterministic factor.
@@ -94,29 +123,19 @@ func TestEvaluateParamBatchMatchesSequential(t *testing.T) {
 
 		seqEv := New(forcing, obs, consts, opts)
 		seqEv.BeginBatch()
-		want := make([]gp.BatchResult, len(paramSets))
-		for i, ps := range paramSets {
-			c := ind.Clone()
-			c.Params = append([]float64(nil), ps...)
-			c.Invalidate()
+		want := proposals(ind, paramSets)
+		for _, c := range want {
 			seqEv.Evaluate(c)
-			want[i] = gp.BatchResult{Fitness: c.Fitness, Full: c.FullEval}
 		}
 		seqEv.EndBatch()
 
 		batchEv := New(forcing, obs, consts, opts)
 		batchEv.BeginBatch()
-		got := batchEv.EvaluateParamBatch(ind, paramSets, nil)
+		got := proposals(ind, paramSets)
+		batchEv.EvaluateParamBatch(got)
 		batchEv.EndBatch()
 
-		if len(got) != len(want) {
-			t.Fatalf("structure %d: %d batch results, want %d", si, len(got), len(want))
-		}
-		for i := range want {
-			if math.Float64bits(got[i].Fitness) != math.Float64bits(want[i].Fitness) || got[i].Full != want[i].Full {
-				t.Fatalf("structure %d member %d: batch %+v != sequential %+v", si, i, got[i], want[i])
-			}
-		}
+		sameFitness(t, fmt.Sprintf("structure %d", si), got, want)
 		// The short-circuiting reference must end up identical, so later
 		// decisions cannot drift between the two modes.
 		if a, b := seqEv.ShortCircuitRef(), batchEv.ShortCircuitRef(); math.Float64bits(a) != math.Float64bits(b) {
@@ -141,27 +160,24 @@ func TestEvaluateParamBatchCacheDiscipline(t *testing.T) {
 		paramSets[i] = jitterParams(rng, ind.Params)
 	}
 	ev.BeginBatch()
-	r1 := ev.EvaluateParamBatch(ind, paramSets, nil)
+	r1 := proposals(ind, paramSets)
+	ev.EvaluateParamBatch(r1)
 	if hits := ev.Stats().CacheHits; hits != 0 {
 		t.Fatalf("first batch had %d tier-2 hits, want 0", hits)
 	}
-	r2 := ev.EvaluateParamBatch(ind, paramSets, nil)
+	r2 := proposals(ind, paramSets)
+	ev.EvaluateParamBatch(r2)
 	if hits := ev.Stats().CacheHits; hits != 0 {
 		t.Fatalf("repeat batch had %d tier-2 hits; the batch path must not insert", hits)
 	}
-	for i := range r1 {
-		if math.Float64bits(r1[i].Fitness) != math.Float64bits(r2[i].Fitness) {
-			t.Fatalf("member %d: repeat batch diverged: %v vs %v", i, r1[i].Fitness, r2[i].Fitness)
-		}
-	}
+	sameFitness(t, "repeat batch", r2, r1)
+	// Members already evaluated are skipped: no call, no member counted.
+	ev.EvaluateParamBatch(r2)
 
 	// A sequential evaluation inserts; the next batch over the same params
 	// is served from tier 2.
-	c := ind.Clone()
-	c.Params = append([]float64(nil), paramSets[0]...)
-	c.Invalidate()
-	ev.Evaluate(c)
-	ev.EvaluateParamBatch(ind, paramSets[:1], nil)
+	ev.Evaluate(proposals(ind, paramSets[:1])[0])
+	ev.EvaluateParamBatch(proposals(ind, paramSets[:1]))
 	if hits := ev.Stats().CacheHits; hits != 1 {
 		t.Fatalf("batch after sequential warm-up had %d tier-2 hits, want 1", hits)
 	}
@@ -190,12 +206,15 @@ func TestBatchSteadyStateZeroAllocs(t *testing.T) {
 	for i := range paramSets {
 		paramSets[i] = jitterParams(rng, ind.Params)
 	}
-	out := make([]gp.BatchResult, 0, len(paramSets))
+	cands := proposals(ind, paramSets)
 	ev.BeginBatch()
 	defer ev.EndBatch()
-	ev.EvaluateParamBatch(ind, paramSets, out) // warm: derive, compile, plan, scratch
+	ev.EvaluateParamBatch(cands) // warm: derive, compile, plan, scratch
 	allocs := testing.AllocsPerRun(20, func() {
-		ev.EvaluateParamBatch(ind, paramSets, out[:0])
+		for _, c := range cands {
+			c.Invalidate()
+		}
+		ev.EvaluateParamBatch(cands)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state EvaluateParamBatch allocates %.1f objects/run; want 0", allocs)

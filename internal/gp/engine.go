@@ -237,20 +237,19 @@ func (e *Engine) noteProgress() {
 }
 
 // evalJob is one unit of work for the evaluation worker pool: a
-// self-contained closure (run, used by champion refinement to score a chunk
-// of parameter proposals), a structure-resolution job (resolve, phase 0 of
-// the scheduler), a cluster chunk to score (cluster, phase 1), or an
-// individual to evaluate if it is not yet, followed by the optional
-// follow-up (local search, phase 2) with the job's pre-split RNG stream.
-// resolve and cluster are plain fields rather than closures so the
-// per-generation dispatch allocates nothing.
+// structure-resolution job (resolve, phase 0 of the scheduler), a chunk of
+// same-structure members to score (cluster, phase 1; with sweep, champion
+// refinement's parameter proposals), or an individual to evaluate if it is
+// not yet, followed by the optional follow-up (local search, phase 2) with
+// the job's pre-split RNG stream. resolve and cluster are plain fields
+// rather than closures so the per-generation dispatch allocates nothing.
 type evalJob struct {
 	ind      *Individual
 	rng      *rand.Rand
 	followUp func(*Individual, *rand.Rand) int
-	run      func() int
 	resolve  *Individual
 	cluster  []*Individual
+	sweep    bool
 	wg       *sync.WaitGroup
 	evals    *atomic.Int64
 }
@@ -299,17 +298,12 @@ func (e *Engine) runJob(j evalJob) {
 			j.evals.Add(int64(n))
 		}
 	}()
-	if j.run != nil {
-		n = j.run()
-		j.evals.Add(int64(n))
-		return
-	}
 	if j.resolve != nil {
 		e.ce.ResolveStruct(j.resolve)
 		return
 	}
 	if j.cluster != nil {
-		e.runCluster(j.cluster)
+		e.runCluster(j.cluster, j.sweep)
 		n = len(j.cluster)
 		j.evals.Add(int64(n))
 		return
@@ -665,7 +659,7 @@ func (e *Engine) selectParent(pop []*Individual) *Individual {
 // global proposal number), scores them on the worker pool, and adopts the
 // best improving proposal — the lowest index on ties, matching in-order
 // sequential adoption. With a ClusterEvaluator λ = laneChunk, and the
-// parameter-only proposals go through EvaluateParamBatch in one chunk,
+// parameter-only proposals are scored as one sweep chunk,
 // amortizing structure resolution and exogenous hoisting over the round
 // (DESIGN.md §10). Without it λ = 1: each round draws, evaluates and adopts
 // one proposal, a sequential hill-climbing chain.
@@ -710,8 +704,8 @@ const laneChunk = 8
 
 // evaluateProposals scores one round of refinement proposals. With a
 // ClusterEvaluator, proposals that kept the champion's memoized structure
-// key are parameter-only moves over one structure and go through the batch
-// API as one chunk (a round holds at most laneChunk proposals); literal
+// key are parameter-only moves over one structure and go to runCluster as
+// one sweep chunk (a round holds at most laneChunk proposals); literal
 // perturbations (cleared key), and every proposal of a plain Evaluator, are
 // dispatched as ordinary evaluation jobs.
 func (e *Engine) evaluateProposals(base *Individual, cands []*Individual) {
@@ -731,53 +725,13 @@ func (e *Engine) evaluateProposals(base *Individual, cands []*Individual) {
 	var evals atomic.Int64 // refineElite counts proposals deterministically; this absorbs job accounting
 	if len(batch) > 0 {
 		wg.Add(1)
-		e.jobCh <- evalJob{wg: &wg, evals: &evals, run: func() int {
-			e.runParamChunk(base, batch)
-			return len(batch)
-		}}
+		e.jobCh <- evalJob{cluster: batch, sweep: true, wg: &wg, evals: &evals}
 	}
 	for _, c := range solo {
 		wg.Add(1)
 		e.jobCh <- evalJob{ind: c, wg: &wg, evals: &evals}
 	}
 	wg.Wait()
-}
-
-// runParamChunk scores one chunk of parameter-only proposals through the
-// batch API. A panic inside the batch call (e.g. injected faults) aborts
-// the whole chunk, so the recovery path re-scores the members individually:
-// fault decisions are pure functions of the per-member site hash, so
-// safeEvaluate re-encounters the injected panic at exactly the offending
-// member and quarantines only it — batched results stay identical to
-// sequential ones even under fault injection.
-func (e *Engine) runParamChunk(base *Individual, chunk []*Individual) {
-	params := make([][]float64, len(chunk))
-	for i, c := range chunk {
-		params[i] = c.Params
-	}
-	results := make([]BatchResult, 0, len(chunk))
-	ok := func() (ok bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				ok = false
-			}
-		}()
-		results = e.ce.EvaluateParamBatch(base, params, results)
-		return true
-	}()
-	if ok && len(results) == len(chunk) {
-		for i, c := range chunk {
-			c.Fitness = results[i].Fitness
-			c.Evaluated = true
-			c.FullEval = results[i].Full
-		}
-		return
-	}
-	for _, c := range chunk {
-		if !c.Evaluated {
-			e.safeEvaluate(c)
-		}
-	}
 }
 
 // evaluatePop evaluates all unevaluated individuals on the persistent
@@ -921,13 +875,15 @@ func (e *Engine) clusterPop(pop []*Individual) (order []*Individual, ends []int)
 	return order, ends
 }
 
-// runCluster scores one cluster chunk with panic isolation. EvaluateCluster
-// commits every member preceding a panicking one (see the ClusterEvaluator
+// runCluster scores one chunk of same-structure members with panic
+// isolation: a population cluster through EvaluateCluster, or with sweep a
+// refinement round's parameter proposals through EvaluateParamBatch. Both
+// commit every member preceding a panicking one (the ClusterEvaluator
 // panic protocol), so on recovery the first still-unevaluated member is the
 // panicker: quarantine it — same decision, same +Inf as safeEvaluate —
 // and re-invoke on the remainder until the chunk is done.
 // A plain Evaluator's chunk is one singleton, scored by safeEvaluate.
-func (e *Engine) runCluster(chunk []*Individual) {
+func (e *Engine) runCluster(chunk []*Individual, sweep bool) {
 	if e.ce == nil {
 		e.safeEvaluate(chunk[0])
 		return
@@ -939,7 +895,11 @@ func (e *Engine) runCluster(chunk []*Individual) {
 					ok = false
 				}
 			}()
-			e.ce.EvaluateCluster(chunk)
+			if sweep {
+				e.ce.EvaluateParamBatch(chunk)
+			} else {
+				e.ce.EvaluateCluster(chunk)
+			}
 			return true
 		}()
 		if ok {

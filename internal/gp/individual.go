@@ -118,34 +118,25 @@ type Evaluator interface {
 	EndBatch()
 }
 
-// BatchResult is the outcome of one member of a parameter-sweep batch
-// (see ClusterEvaluator.EvaluateParamBatch).
-type BatchResult struct {
-	// Fitness is the member's training fitness (lower is better).
-	Fitness float64
-	// Full reports whether every fitness case was simulated (false when
-	// the evaluation was short-circuited).
-	Full bool
-}
-
 // ClusterEvaluator is optionally implemented by evaluators that can score
 // many individuals of one structure in one call. The engine's generation
 // loop uses it to partition each population by memoized structure key and
 // dispatch every cluster through the lane-batched kernel (DESIGN.md §14),
-// and champion refinement uses it to batch parameter proposals, amortizing
-// structure resolution and loop-invariant (exogenous) hoisting across the
-// sweep (DESIGN.md §10). The engine scores a plain Evaluator one individual
-// at a time through the same scheduler.
+// and champion refinement uses it to score each round's parameter-only
+// proposals as one chunk, amortizing structure resolution and
+// loop-invariant (exogenous) hoisting across the sweep (DESIGN.md §10).
+// The engine scores a plain Evaluator one individual at a time through the
+// same scheduler.
+//
+// EvaluateCluster and EvaluateParamBatch score a chunk of same-structure
+// individuals in slice order, skip members already evaluated, commit each
+// result onto its individual, and share one panic protocol: when a
+// member's evaluation panics (injected faults), every earlier member's
+// result is committed before the panic escapes, so the first unevaluated
+// member in slice order is the panicker. The engine quarantines it and
+// re-invokes the same method on the remainder.
 type ClusterEvaluator interface {
 	Evaluator
-	// EvaluateParamBatch scores ind's structure under each parameter
-	// vector, appending one BatchResult per vector to out and returning
-	// it. It must be equivalent to evaluating len(params) copies of ind
-	// with the respective parameter vectors (same fitness, same fault
-	// behavior), and safe for concurrent calls between BeginBatch and
-	// EndBatch. It must not mutate ind. When a member's evaluation
-	// panics, the panic escapes and no result reaches the caller.
-	EvaluateParamBatch(ind *Individual, params [][]float64, out []BatchResult) []BatchResult
 	// ResolveStruct resolves the individual's executable structure through
 	// the evaluator's structure cache and memoizes the canonical key on the
 	// individual (StructKey), without simulating. It must count exactly the
@@ -159,19 +150,18 @@ type ClusterEvaluator interface {
 	// size (telemetry only: cluster counts, scalar fallbacks, and the
 	// cluster-size histogram).
 	NoteCluster(size int)
-	// EvaluateCluster scores the unevaluated individuals of one cluster —
-	// all sharing one memoized structure key, or a single key-less
-	// individual — with semantics equivalent to sequential Evaluate calls
-	// in slice order: identical fitnesses, quarantine classification,
-	// fault-injection sites, and tier-2 cache interactions. Already
-	// evaluated members are skipped.
-	//
-	// Panic protocol: when a member's evaluation panics (injected faults),
-	// the implementation commits every earlier member's result before the
-	// panic escapes, so the first unevaluated member in slice order is the
-	// panicker. The engine quarantines it and re-invokes EvaluateCluster
-	// on the remainder.
+	// EvaluateCluster scores one population cluster — individuals sharing
+	// one memoized structure key, or a single key-less individual — with
+	// semantics equivalent to sequential Evaluate calls in slice order:
+	// identical fitnesses, quarantine classification, fault-injection
+	// sites, and fitness-cache interactions.
 	EvaluateCluster(inds []*Individual)
+	// EvaluateParamBatch scores a parameter sweep: parameter-only variants
+	// of inds[0]'s structure, resolved once for the call. Each member gets
+	// the fitness and fault behavior its own Evaluate call would give, but
+	// the sweep reads the fitness cache without writing to it. It must be
+	// safe for concurrent calls between BeginBatch and EndBatch.
+	EvaluateParamBatch(inds []*Individual)
 }
 
 // Prior is the Gaussian-mutation prior of one constant parameter: its
