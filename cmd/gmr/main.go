@@ -90,24 +90,33 @@ func main() {
 	if *subSteps < 1 {
 		// Training would fall back to bio's default substeps while an
 		// exported bundle's config digest records the raw value.
-		fmt.Fprintln(flag.CommandLine.Output(), "-substeps must be at least 1")
-		flag.Usage()
-		os.Exit(2)
+		usageError("-substeps must be at least 1")
 	}
 	if *slowSpan != 0 && *metricsAddr == "" {
 		// The slow-span log hangs off the -metrics-addr tracer; without
 		// it the threshold would be silently ignored.
-		fmt.Fprintln(flag.CommandLine.Output(), "-slow-span requires -metrics-addr")
-		flag.Usage()
-		os.Exit(2)
+		usageError("-slow-span requires -metrics-addr")
 	}
 	if *runs < 1 && *islands <= 0 {
 		// core treats zero runs as one and rejects negative counts; say
 		// so before any data loads.
-		fmt.Fprintln(flag.CommandLine.Output(), "-runs must be at least 1 (or use -islands)")
-		flag.Usage()
-		os.Exit(2)
+		usageError("-runs must be at least 1 (or use -islands)")
 	}
+	// A flag that only one mode reads is an error in the other, not
+	// silently ignored: -resume without -islands would quietly start a
+	// fresh run.
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "migrate-every", "migrants", "checkpoint", "checkpoint-every", "resume", "telemetry":
+			if *islands <= 0 {
+				usageError("-" + f.Name + " requires -islands")
+			}
+		case "posterior":
+			if *exportTo == "" {
+				usageError("-posterior requires -export-model")
+			}
+		}
+	})
 
 	faults, ferr := faultinject.Parse(*faultSpec)
 	if ferr != nil {
@@ -324,6 +333,14 @@ func main() {
 		fmt.Printf("exported model bundle to %s (grammar %s, config %s)\n",
 			*exportTo, bundle.GrammarHash, bundle.ConfigDigest)
 	}
+}
+
+// usageError reports a flag misuse with the usage text and exits 2, before
+// any data loads.
+func usageError(msg string) {
+	fmt.Fprintln(flag.CommandLine.Output(), msg)
+	flag.Usage()
+	os.Exit(2)
 }
 
 func fatal(err error) {

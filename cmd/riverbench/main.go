@@ -5,8 +5,7 @@
 //	riverbench -exp fig9
 //	riverbench -exp fig10 [-pop 60]
 //	riverbench -exp fig11
-//	riverbench -exp islands [-islands 4] [-checkpoint run.ckpt] [-resume] [-telemetry ISLANDS.jsonl] \
-//	           [-faults "seed=42,panic:0.01,nan:0.01,trunc:0.1"]
+//	riverbench -exp ablation
 //	riverbench -exp all
 //
 // Rows are printed in the paper's layout so results can be compared side by
@@ -14,13 +13,11 @@
 // Performance is measured elsewhere: end to end by the benchmark in bench/
 // (the revise_islands and serve_point workloads), and per layer by the Go
 // benchmarks that `make bench` runs, whose allocation ceilings are tests.
-// -exp islands runs GMR as an island model with elite migration, streaming
-// JSONL telemetry (per-island generation stats, migration events, evaluator
-// cache hit rates) and optionally checkpointing for crash-safe resume.
+// Island-model runs (elite migration, JSONL telemetry, checkpoints, fault
+// injection) are gmr's: gmr -islands N.
 //
 // SIGINT/SIGTERM stop experiments gracefully at the next boundary (method,
-// sweep setting, or GP generation), reporting whatever completed; the
-// islands experiment additionally writes its checkpoint before exiting.
+// sweep setting, or GP generation), reporting whatever completed.
 //
 // Profiling: -cpuprofile and -memprofile write pprof files for any
 // experiment; -pprof ADDR serves net/http/pprof for live inspection.
@@ -39,12 +36,11 @@ import (
 
 	"gmr/internal/dataset"
 	"gmr/internal/experiments"
-	"gmr/internal/faultinject"
 )
 
 func main() {
 	var (
-		exp      = flag.String("exp", "tablev", "experiment: tablev, fig9, fig10, fig11, ablation, islands, or all")
+		exp      = flag.String("exp", "tablev", "experiment: tablev, fig9, fig10, fig11, ablation, or all")
 		scale    = flag.String("scale", "small", "budget scale: small, medium, or paper")
 		seed     = flag.Int64("seed", 1, "master seed (dataset uses seed, methods use derived seeds)")
 		dsSeed   = flag.Int64("data-seed", 7, "synthetic dataset seed")
@@ -54,22 +50,8 @@ func main() {
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		pprofSrv = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-
-		islands     = flag.Int("islands", 0, "islands experiment: island count (0 = derive from scale)")
-		migEvery    = flag.Int("migrate-every", 0, "islands: generations between elite migrations (0 = default, <0 disables)")
-		migrants    = flag.Int("migrants", 0, "islands: elites sent per migration (0 = default)")
-		checkpoint  = flag.String("checkpoint", "", "islands: checkpoint file path (empty disables checkpointing)")
-		ckptEvery   = flag.Int("checkpoint-every", 0, "islands: checkpoint cadence in generations (0 = default)")
-		resumeRun   = flag.Bool("resume", false, "islands: resume from -checkpoint instead of starting fresh")
-		telemetryTo = flag.String("telemetry", "ISLANDS.jsonl", "islands: JSONL telemetry output path (empty disables)")
-		faultSpec   = flag.String("faults", "", `islands: chaos-testing fault spec, e.g. "seed=42,panic:0.01,nan:0.01,trunc:0.1" (empty disables)`)
 	)
 	flag.Parse()
-
-	faults, ferr := faultinject.Parse(*faultSpec)
-	if ferr != nil {
-		fatal(ferr)
-	}
 
 	// SIGINT/SIGTERM cancel the context; experiments stop at their next
 	// boundary and report partial results. A second signal kills outright.
@@ -219,69 +201,12 @@ func main() {
 		fmt.Println()
 	}
 
-	runIslands := func() {
-		opts := experiments.IslandsOptions{
-			Islands:         *islands,
-			MigrationEvery:  *migEvery,
-			Migrants:        *migrants,
-			CheckpointPath:  *checkpoint,
-			CheckpointEvery: *ckptEvery,
-			Resume:          *resumeRun,
-			Faults:          faults,
-		}
-		if faults != nil {
-			fmt.Printf("fault injection enabled: %s\n", faults)
-		}
-		if *telemetryTo != "" {
-			f, err := os.Create(*telemetryTo)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			opts.Telemetry = f
-		}
-		res, err := experiments.Islands(ctx, ds, sc, *seed, opts)
-		if err != nil {
-			if interrupted(err) {
-				return
-			}
-			fatal(err)
-		}
-		fmt.Printf("Islands — GMR as an island model (scale %s)\n", sc.Name)
-		if res.Orch.Interrupted {
-			fmt.Printf("interrupted at generation %d", res.Orch.Generations)
-			if *checkpoint != "" {
-				fmt.Printf(" — checkpoint written to %s (resume with -resume)", *checkpoint)
-			}
-			fmt.Println()
-		}
-		fmt.Printf("islands %d, generations %d, migrations %d\n",
-			len(res.Orch.PerIsland), res.Orch.Generations, res.Orch.Migrations)
-		if s := faults.Snapshot(); s != nil {
-			fmt.Printf("faults injected: %d panics, %d nan poisons, %d latencies, %d checkpoint truncations\n",
-				s.Panics, s.NaNs, s.Latencies, s.Truncations)
-		}
-		if *telemetryTo != "" {
-			fmt.Printf("telemetry: %s\n", *telemetryTo)
-		}
-		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(w, "Class\tMethod\tTrain RMSE\tTrain MAE\tTest RMSE\tTest MAE\tSeconds")
-		r := res.Row
-		fmt.Fprintf(w, "%s\t%s\t%.4g\t%.4g\t%.4g\t%.4g\t%.1f\n",
-			r.Class, r.Method, r.TrainRMSE, r.TrainMAE, r.TestRMSE, r.TestMAE, r.Seconds)
-		w.Flush()
-		fmt.Printf("\nbest revised model (island %d):\n", res.Orch.BestIsland)
-		fmt.Printf("  dBPhy/dt = %s\n", res.Core.BestPhy.Pretty())
-		fmt.Printf("  dBZoo/dt = %s\n\n", res.Core.BestZoo.Pretty())
-	}
-
 	run, ok := map[string]func(){
 		"tablev":   runTableV,
 		"fig9":     runFig9,
 		"fig10":    runFig10,
 		"fig11":    runFig11,
 		"ablation": runAblation,
-		"islands":  runIslands,
 		"all": func() {
 			runTableV()
 			runFig9()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"strings"
 	"sync"
@@ -353,5 +354,52 @@ func TestRunIslandsCoreSpans(t *testing.T) {
 	}
 	if fin := spans["core.finalize"][0]; fin.Start.Before(setup.Start.Add(setup.Dur)) {
 		t.Error("core.finalize starts before core.setup ends")
+	}
+}
+
+// TestRunIslandsTelemetry: an island run streams its JSONL telemetry end to
+// end. Every island's every generation is one "gen" record carrying the
+// evaluator's "cache" counter record, migrations are "migration" records,
+// and the run reaches its generation budget with a finite test RMSE.
+func TestRunIslandsTelemetry(t *testing.T) {
+	const islands = 2
+	cfg := smallCfg(6)
+	cfg.GP.PopSize = 16
+	cfg.GP.MaxGen = 3
+	cfg.GP.LocalSearchSteps = 1
+	cfg.PreCalibrateBudget = 30
+	var tele strings.Builder
+	res, orch, err := RunIslands(context.Background(), smallDS(t), cfg, IslandOptions{
+		Islands: islands, MigrationEvery: 1, Migrants: 1, Telemetry: &tele,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if orch.Generations != cfg.GP.MaxGen {
+		t.Errorf("completed %d generations, want %d", orch.Generations, cfg.GP.MaxGen)
+	}
+	if math.IsNaN(res.TestRMSE) || math.IsInf(res.TestRMSE, 0) {
+		t.Errorf("invalid test RMSE %v", res.TestRMSE)
+	}
+	counts := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(tele.String()), "\n") {
+		var rec struct {
+			Type  string         `json:"type"`
+			Cache map[string]any `json:"cache"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("telemetry line %q: %v", line, err)
+		}
+		counts[rec.Type]++
+		if _, ok := rec.Cache["tier1_hit_rate"]; rec.Type == "gen" && !ok {
+			t.Errorf("gen record without the evaluator cache record: %s", line)
+		}
+	}
+	// Generation 0 (the initial population) is reported too.
+	if want := islands * (cfg.GP.MaxGen + 1); counts["gen"] != want {
+		t.Errorf("%d gen records, want %d", counts["gen"], want)
+	}
+	if counts["migration"] == 0 || orch.Migrations == 0 {
+		t.Errorf("%d migration records and %d migrations with MigrationEvery=1", counts["migration"], orch.Migrations)
 	}
 }

@@ -220,35 +220,3 @@ func TestMarkdownWriters(t *testing.T) {
 		t.Errorf("fig11 markdown malformed:\n%s", buf.String())
 	}
 }
-
-func TestIslandsExperiment(t *testing.T) {
-	ds := tinyData(t)
-	var tele strings.Builder
-	res, err := Islands(context.Background(), ds, tinyScale, 6, IslandsOptions{
-		Islands:        2,
-		MigrationEvery: 1,
-		Migrants:       1,
-		Telemetry:      &tele,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Row.Method != "GMR-Islands" {
-		t.Errorf("row method = %q", res.Row.Method)
-	}
-	if math.IsNaN(res.Row.TestRMSE) || math.IsInf(res.Row.TestRMSE, 0) {
-		t.Errorf("invalid test RMSE %v", res.Row.TestRMSE)
-	}
-	if res.Orch.Generations != tinyScale.GMRGen {
-		t.Errorf("completed %d generations, want %d", res.Orch.Generations, tinyScale.GMRGen)
-	}
-	if res.Orch.Migrations == 0 {
-		t.Error("no migrations with MigrationEvery=1")
-	}
-	out := tele.String()
-	for _, want := range []string{`"type":"gen"`, `"type":"migration"`, `"tier1_hit_rate"`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("telemetry stream missing %s", want)
-		}
-	}
-}
