@@ -39,7 +39,7 @@ type Stats struct {
 	ExogPlanHits   int `json:"exog_plan_hits"`   // segmented simulations served by an existing plan
 	RegsHoisted    int `json:"regs_hoisted"`     // exogenous registers hoisted across all plan builds (Σ k)
 	BatchCalls     int `json:"batch_calls"`      // EvaluateParamBatch invocations
-	BatchMembers   int `json:"batch_members"`    // parameter vectors evaluated through the batch API
+	BatchMembers   int `json:"batch_members"`    // unevaluated members passed to EvaluateParamBatch
 
 	// Lane-batched kernel counters (DESIGN.md §11): one lane batch is one
 	// lane launch, a KernelLanes chunk of 2 to expr.Lanes members sharing
